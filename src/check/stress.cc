@@ -289,7 +289,9 @@ namespace {
 Status CorruptInnerMbr(rtree::RTree* tree, uint32_t selector) {
   PICTDB_ASSIGN_OR_RETURN(storage::PageGuard guard,
                           tree->pool()->FetchPage(tree->root()));
-  rtree::Node node = rtree::ReadNode(guard.data(), tree->pool()->page_size());
+  PICTDB_ASSIGN_OR_RETURN(
+      rtree::Node node,
+      rtree::ReadNode(guard.data(), tree->pool()->page_size()));
   if (node.entries.empty()) {
     return Status::InvalidArgument("cannot corrupt an empty root");
   }

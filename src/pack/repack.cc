@@ -1,6 +1,7 @@
 #include "pack/repack.h"
 
 #include "common/logging.h"
+#include "rtree/traverse.h"
 
 namespace pictdb::pack {
 
@@ -34,31 +35,23 @@ StatusOr<ScrubReport> ScrubAndRepack(RTree* tree,
   degrade.quarantine = quarantine;
 
   // Scrub: walk whatever is still reachable, salvaging leaf entries and
-  // remembering which old pages can safely be freed. Unreadable pages go
-  // to the quarantine (directly, not via SearchOptions — this loop needs
-  // the page ids of the *readable* set too).
+  // remembering which old pages can safely be freed. The walk skips and
+  // quarantines unreadable pages.
   std::vector<storage::PageId> readable;
   std::vector<Entry> salvaged;
-  std::vector<storage::PageId> stack{tree->root()};
-  while (!stack.empty()) {
-    const storage::PageId id = stack.back();
-    stack.pop_back();
-    auto loaded = tree->ReadNodePage(id);
-    if (!loaded.ok()) {
-      if (!degrade.ShouldDegrade(loaded.status())) return loaded.status();
-      quarantine->Add(id);
-      ++report.pages_quarantined;
-      continue;
-    }
-    readable.push_back(id);
-    const rtree::Node node = std::move(loaded).value();
+  rtree::Walk salvage([&](const rtree::NodeRef& ref,
+                          const rtree::SoaNode& node) {
+    readable.push_back(ref.id);
     if (node.is_leaf()) {
-      salvaged.insert(salvaged.end(), node.entries.begin(),
-                      node.entries.end());
-    } else {
-      for (const Entry& e : node.entries) stack.push_back(e.AsChild());
+      for (size_t i = 0; i < node.count(); ++i) {
+        salvaged.push_back(Entry{node.RectAt(i), node.payloads[i]});
+      }
     }
-  }
+    return Status::OK();
+  });
+  rtree::SearchStats stats;
+  PICTDB_RETURN_IF_ERROR(rtree::TraverseTree(*tree, salvage, degrade, &stats));
+  report.pages_quarantined = stats.skipped_subtrees;
   report.entries_recovered = salvaged.size();
 
   // Reset to a fresh empty root without touching the old (partially

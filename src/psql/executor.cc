@@ -371,19 +371,14 @@ StatusOr<std::vector<rtree::LeafHit>> IndexCandidates(
       return index.SearchContainedIn(probe, stats);
     case SpatialOp::kCovering:
       // Object covers probe -> object MBR contains probe.
-      return index.SearchCustom(
-          [&probe](const geom::Rect& r) { return r.Contains(probe); },
-          [&probe](const geom::Rect& r) { return r.Contains(probe); },
-          stats);
+      return index.SearchContaining(probe, stats);
     case SpatialOp::kOverlapping:
       return index.SearchIntersects(probe, stats);
     case SpatialOp::kDisjoined:
       // Everything whose MBR misses the probe is certainly disjoint, but
       // intersecting MBRs may still be disjoint geometries, so all
       // entries are candidates. The index cannot prune.
-      return index.SearchCustom([](const geom::Rect&) { return true; },
-                                [](const geom::Rect&) { return true; },
-                                stats);
+      return index.CollectAllEntries(stats);
   }
   return Status::Internal("unreachable spatial op");
 }

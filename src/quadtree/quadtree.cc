@@ -113,9 +113,9 @@ Status QuadTree::Delete(const Rect& mbr, const storage::Rid& rid) {
   return Status::NotFound("entry not in quad-tree");
 }
 
-void QuadTree::SearchRec(const Cell& cell, const Rect& window,
-                         std::vector<QuadEntry>* out,
-                         QuadStats* stats) const {
+void QuadTree::SearchCell(const Cell& cell, const Rect& window,
+                          std::vector<QuadEntry>* out,
+                          QuadStats* stats) const {
   if (stats != nullptr) ++stats->cells_visited;
   for (const QuadEntry& e : cell.entries) {
     if (stats != nullptr) ++stats->entries_tested;
@@ -127,7 +127,7 @@ void QuadTree::SearchRec(const Cell& cell, const Rect& window,
   for (int q = 0; q < 4; ++q) {
     if (cell.children[q] != nullptr &&
         cell.children[q]->bounds.Intersects(window)) {
-      SearchRec(*cell.children[q], window, out, stats);
+      SearchCell(*cell.children[q], window, out, stats);
     }
   }
 }
@@ -136,7 +136,7 @@ std::vector<QuadEntry> QuadTree::SearchIntersects(const Rect& window,
                                                   QuadStats* stats) const {
   std::vector<QuadEntry> out;
   if (root_.bounds.Intersects(window)) {
-    SearchRec(root_, window, &out, stats);
+    SearchCell(root_, window, &out, stats);
   }
   return out;
 }

@@ -1,143 +1,63 @@
 #include "rtree/cursor.h"
 
-#include "simd/dispatch.h"
+#include <vector>
+
+#include "rtree/traverse.h"
 
 namespace pictdb::rtree {
 
-SearchCursor::SearchCursor(const RTree* tree,
-                           std::function<bool(const geom::Rect&)> prune,
-                           std::function<bool(const geom::Rect&)> accept,
-                           const SearchOptions& options)
-    : tree_(tree),
-      prune_(std::move(prune)),
-      accept_(std::move(accept)),
-      options_(options) {
-  if (tree_->Size() > 0) pending_.push_back(tree_->root());
-}
+struct SearchCursor::Impl {
+  using Policy = ShapeSearch<geom::Rect>;
 
-SearchCursor::SearchCursor(const RTree* tree, Mode mode,
-                           const geom::Rect& window,
-                           const SearchOptions& options)
-    : tree_(tree), mode_(mode), window_(window), options_(options) {
-  if (tree_->Size() > 0) pending_.push_back(tree_->root());
-}
+  Impl(const RTree* tree, LaneTest<geom::Rect> interior,
+       LaneTest<geom::Rect> leaf, const geom::Rect& window,
+       const SearchOptions& options)
+      : policy{{}, interior, leaf, window, &leaf_hits},
+        engine({tree}, Traversal<Policy>::Root(*tree), options, &stats) {}
+
+  /// Hits of the last leaf visited, handed out from `next`.
+  std::vector<LeafHit> leaf_hits;
+  size_t next = 0;
+  SearchStats stats;
+  Policy policy;
+  Traversal<Policy> engine;
+};
+
+SearchCursor::SearchCursor(std::unique_ptr<Impl> impl)
+    : impl_(std::move(impl)) {}
+SearchCursor::SearchCursor(SearchCursor&&) noexcept = default;
+SearchCursor& SearchCursor::operator=(SearchCursor&&) noexcept = default;
+SearchCursor::~SearchCursor() = default;
 
 SearchCursor SearchCursor::Intersects(const RTree* tree,
                                       const geom::Rect& window,
                                       const SearchOptions& options) {
-  return SearchCursor(tree, Mode::kIntersects, window, options);
+  const simd::RectKernels& kernels = simd::ActiveKernels();
+  return SearchCursor(std::make_unique<Impl>(
+      tree, kernels.intersects, kernels.intersects, window, options));
 }
 
 SearchCursor SearchCursor::ContainedIn(const RTree* tree,
                                        const geom::Rect& window,
                                        const SearchOptions& options) {
-  return SearchCursor(tree, Mode::kContainedIn, window, options);
+  const simd::RectKernels& kernels = simd::ActiveKernels();
+  return SearchCursor(std::make_unique<Impl>(
+      tree, kernels.intersects, kernels.contained_in, window, options));
 }
 
 StatusOr<std::optional<LeafHit>> SearchCursor::Next() {
-  return mode_ == Mode::kGeneric ? NextGeneric() : NextWindow();
-}
-
-StatusOr<std::optional<LeafHit>> SearchCursor::NextGeneric() {
-  for (;;) {
-    // Drain the active leaf first.
-    if (leaf_active_) {
-      while (leaf_pos_ < current_leaf_.entries.size()) {
-        const Entry& e = current_leaf_.entries[leaf_pos_++];
-        ++stats_.entries_tested;
-        if (accept_(e.mbr)) {
-          ++stats_.results;
-          return std::optional<LeafHit>(LeafHit{e.mbr, e.AsRid()});
-        }
-      }
-      leaf_active_ = false;
-    }
-    if (pending_.empty()) return std::optional<LeafHit>();
-
-    PICTDB_RETURN_IF_ERROR(options_.CheckRunnable());
-    const storage::PageId id = pending_.back();
-    pending_.pop_back();
-    auto loaded = tree_->ReadNodePage(id);
-    if (!loaded.ok()) {
-      if (options_.ShouldDegrade(loaded.status())) {
-        if (options_.quarantine != nullptr) options_.quarantine->Add(id);
-        ++stats_.skipped_subtrees;
-        stats_.degraded = true;
-        continue;
-      }
-      return loaded.status();
-    }
-    Node node = std::move(loaded).value();
-    ++stats_.nodes_visited;
-    if (node.is_leaf()) {
-      current_leaf_ = std::move(node);
-      leaf_pos_ = 0;
-      leaf_active_ = true;
-      continue;
-    }
-    for (const Entry& e : node.entries) {
-      ++stats_.entries_tested;
-      if (prune_(e.mbr)) pending_.push_back(e.AsChild());
-    }
+  Impl& c = *impl_;
+  // Step the engine until a leaf yields hits; the policy copies each
+  // leaf's hits out because the next step reuses the node scratch.
+  while (c.next == c.leaf_hits.size()) {
+    c.leaf_hits.clear();
+    c.next = 0;
+    if (c.engine.Exhausted(c.policy)) return std::optional<LeafHit>();
+    PICTDB_RETURN_IF_ERROR(c.engine.Step(c.policy));
   }
+  return std::optional<LeafHit>(c.leaf_hits[c.next++]);
 }
 
-StatusOr<std::optional<LeafHit>> SearchCursor::NextWindow() {
-  const simd::RectKernels& kernels = simd::ActiveKernels();
-  for (;;) {
-    // Drain the active leaf first. The accept verdicts were computed in
-    // one kernel call when the leaf was loaded; entries_tested still
-    // advances lazily with leaf_pos_, matching the generic cursor when
-    // the caller abandons the stream mid-leaf.
-    if (leaf_active_) {
-      while (leaf_pos_ < soa_node_.count()) {
-        const size_t i = leaf_pos_++;
-        ++stats_.entries_tested;
-        if ((accept_mask_[i / 64] >> (i % 64)) & 1u) {
-          ++stats_.results;
-          return std::optional<LeafHit>(
-              LeafHit{soa_node_.RectAt(i), soa_node_.RidAt(i)});
-        }
-      }
-      leaf_active_ = false;
-    }
-    if (pending_.empty()) return std::optional<LeafHit>();
-
-    PICTDB_RETURN_IF_ERROR(options_.CheckRunnable());
-    const storage::PageId id = pending_.back();
-    pending_.pop_back();
-    const Status loaded = tree_->ReadNodePageSoa(id, &soa_node_);
-    if (!loaded.ok()) {
-      if (options_.ShouldDegrade(loaded)) {
-        if (options_.quarantine != nullptr) options_.quarantine->Add(id);
-        ++stats_.skipped_subtrees;
-        stats_.degraded = true;
-        continue;
-      }
-      return loaded;
-    }
-    ++stats_.nodes_visited;
-    const simd::RectSoa rects = soa_node_.rects();
-    accept_mask_.resize(simd::MaskWords(soa_node_.count()));
-    if (soa_node_.is_leaf()) {
-      if (mode_ == Mode::kContainedIn) {
-        kernels.contained_in(rects, window_, accept_mask_.data());
-      } else {
-        kernels.intersects(rects, window_, accept_mask_.data());
-      }
-      leaf_pos_ = 0;
-      leaf_active_ = true;
-      continue;
-    }
-    // Interior node: prune with window intersection. Ascending set-bit
-    // order pushes children in entry order — the same forward order the
-    // generic cursor uses, preserving the result stream exactly.
-    stats_.entries_tested += soa_node_.count();
-    kernels.intersects(rects, window_, accept_mask_.data());
-    simd::ForEachSetBit(accept_mask_.data(), soa_node_.count(), [&](size_t i) {
-      pending_.push_back(soa_node_.ChildAt(i));
-    });
-  }
-}
+const SearchStats& SearchCursor::stats() const { return impl_->stats; }
 
 }  // namespace pictdb::rtree

@@ -1,9 +1,8 @@
 #ifndef PICTDB_RTREE_CURSOR_H_
 #define PICTDB_RTREE_CURSOR_H_
 
-#include <functional>
+#include <memory>
 #include <optional>
-#include <vector>
 
 #include "common/status_or.h"
 #include "rtree/rtree.h"
@@ -13,61 +12,37 @@ namespace pictdb::rtree {
 /// Streaming search over an R-tree: yields qualifying leaf entries one at
 /// a time without materializing the full result set, so callers can stop
 /// early (LIMIT-style consumption) or process results larger than memory.
-/// The tree must not be modified while a cursor is open.
+/// The stream is exactly the vector the matching one-shot search returns,
+/// in the same order, and stats() at exhaustion equals its stats: the
+/// cursor is the same traversal, suspended between nodes. `options`
+/// carries the deadline/cancel flag (polled once per node) and degraded
+/// mode. The tree must not be modified while a cursor is open.
 class SearchCursor {
  public:
-  /// General form, mirroring RTree::SearchCustom. `options` carries the
-  /// per-query deadline/cancel flag (polled once per expanded node) and
-  /// the degraded-mode setting (unreadable subtrees are skipped and
-  /// recorded in stats()).
-  SearchCursor(const RTree* tree,
-               std::function<bool(const geom::Rect&)> prune,
-               std::function<bool(const geom::Rect&)> accept,
-               const SearchOptions& options = {});
-
-  /// Window-intersection cursor.
+  /// Window-intersection cursor (streams SearchIntersects).
   static SearchCursor Intersects(const RTree* tree, const geom::Rect& window,
                                  const SearchOptions& options = {});
 
-  /// Window-containment cursor (the paper's SEARCH semantics).
+  /// Window-containment cursor (streams SearchContainedIn, the paper's
+  /// SEARCH semantics).
   static SearchCursor ContainedIn(const RTree* tree, const geom::Rect& window,
                                   const SearchOptions& options = {});
+
+  SearchCursor(SearchCursor&&) noexcept;
+  SearchCursor& operator=(SearchCursor&&) noexcept;
+  ~SearchCursor();
 
   /// Next qualifying entry, or nullopt at the end of the result stream.
   StatusOr<std::optional<LeafHit>> Next();
 
   /// Nodes visited / entries tested so far.
-  const SearchStats& stats() const { return stats_; }
+  const SearchStats& stats() const;
 
  private:
-  /// Window cursors built by the Intersects/ContainedIn factories skip
-  /// the per-entry std::function calls and run the simd rect kernels
-  /// over an SoA node image instead; kGeneric keeps the caller-supplied
-  /// predicates. Result streams are identical either way.
-  enum class Mode { kGeneric, kIntersects, kContainedIn };
+  struct Impl;
+  explicit SearchCursor(std::unique_ptr<Impl> impl);
 
-  SearchCursor(const RTree* tree, Mode mode, const geom::Rect& window,
-               const SearchOptions& options);
-
-  StatusOr<std::optional<LeafHit>> NextGeneric();
-  StatusOr<std::optional<LeafHit>> NextWindow();
-
-  const RTree* tree_;
-  Mode mode_ = Mode::kGeneric;
-  geom::Rect window_;  // kIntersects / kContainedIn only
-  std::function<bool(const geom::Rect&)> prune_;
-  std::function<bool(const geom::Rect&)> accept_;
-  SearchOptions options_;
-  std::vector<storage::PageId> pending_;  // nodes not yet expanded
-  Node current_leaf_;
-  /// Window-mode scratch: one SoA image reused for every decode (safe
-  /// because a leaf is fully drained before the next node is loaded)
-  /// and the accept verdicts for the active leaf.
-  SoaNode soa_node_;
-  std::vector<uint64_t> accept_mask_;
-  size_t leaf_pos_ = 0;
-  bool leaf_active_ = false;
-  SearchStats stats_;
+  std::unique_ptr<Impl> impl_;
 };
 
 }  // namespace pictdb::rtree

@@ -1,129 +1,70 @@
 #include "rtree/join.h"
 
-#include "common/logging.h"
-#include "simd/dispatch.h"
+#include "rtree/traverse.h"
 
 namespace pictdb::rtree {
 
 namespace {
 
-/// Reusable SoA transpose of one node's entry rects plus a verdict
-/// mask, shared down the recursion (only leaf-level frames use it, and
-/// leaves never recurse, so one instance is safe).
-struct JoinScratch {
-  std::vector<double> xmin;
-  std::vector<double> ymin;
-  std::vector<double> xmax;
-  std::vector<double> ymax;
-  std::vector<uint64_t> mask;
-
-  simd::RectSoa Transpose(const Node& node) {
-    const size_t n = node.entries.size();
-    xmin.resize(n);
-    ymin.resize(n);
-    xmax.resize(n);
-    ymax.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      const geom::Rect& r = node.entries[i].mbr;
-      xmin[i] = r.lo.x;
-      ymin[i] = r.lo.y;
-      xmax[i] = r.hi.x;
-      ymax[i] = r.hi.y;
-    }
-    mask.resize(simd::MaskWords(n));
-    return simd::RectSoa{xmin.data(), ymin.data(), xmax.data(),
-                         ymax.data(), n};
-  }
+/// The two-tree descent over pair frames: one node of each tree whose
+/// bounds intersect. Pairs pop in the order the recursive synchronized
+/// traversal would visit them, so the (left, right) callback order is
+/// that of a nested entry-order loop.
+struct PairFrame {
+  NodeRef ref[2];
 };
 
-/// Load one side of a join pair; on an unreadable page in degraded mode
-/// the pair is skipped (quarantining the page) instead of failing the
-/// whole join. Sets `*skip` when the caller should drop the pair.
-StatusOr<Node> LoadJoinNode(const RTree& tree, storage::PageId id,
-                            JoinStats* stats, const SearchOptions& options,
-                            bool* skip) {
-  auto loaded = tree.ReadNodePage(id);
-  if (loaded.ok()) return loaded;
-  if (!options.ShouldDegrade(loaded.status())) return loaded;
-  if (options.quarantine != nullptr) options.quarantine->Add(id);
-  if (stats != nullptr) {
-    ++stats->skipped_subtrees;
-    stats->degraded = true;
-  }
-  *skip = true;
-  return Node{};
-}
-
-Status JoinRec(const RTree& left, const RTree& right, storage::PageId lid,
-               storage::PageId rid, const JoinCallback& callback,
-               JoinStats* stats, const SearchOptions& options,
-               JoinScratch* scratch) {
-  PICTDB_RETURN_IF_ERROR(options.CheckRunnable());
-  bool skip = false;
-  PICTDB_ASSIGN_OR_RETURN(const Node lnode,
-                          LoadJoinNode(left, lid, stats, options, &skip));
-  if (skip) return Status::OK();
-  PICTDB_ASSIGN_OR_RETURN(const Node rnode,
-                          LoadJoinNode(right, rid, stats, options, &skip));
-  if (skip) return Status::OK();
-  if (stats != nullptr) stats->nodes_visited += 2;
-
-  // Unequal levels: descend the taller side against the whole other
-  // node (its MBR hoisted — one computation per visit, not per entry).
-  if (lnode.level > rnode.level) {
-    const geom::Rect rmbr = rnode.Mbr();
-    for (const Entry& le : lnode.entries) {
-      if (stats != nullptr) ++stats->pairs_tested;
-      if (le.mbr.Intersects(rmbr)) {
-        PICTDB_RETURN_IF_ERROR(JoinRec(left, right, le.AsChild(), rid,
-                                       callback, stats, options, scratch));
-      }
-    }
-    return Status::OK();
-  }
-  if (rnode.level > lnode.level) {
-    const geom::Rect lmbr = lnode.Mbr();
-    for (const Entry& re : rnode.entries) {
-      if (stats != nullptr) ++stats->pairs_tested;
-      if (re.mbr.Intersects(lmbr)) {
-        PICTDB_RETURN_IF_ERROR(JoinRec(left, right, lid, re.AsChild(),
-                                       callback, stats, options, scratch));
-      }
-    }
-    return Status::OK();
+struct JoinSearch : SearchPolicy<PairFrame> {
+  using Stats = JoinStats;
+  static constexpr size_t kSides = 2;
+  static constexpr uint64_t JoinStats::*kTested = &JoinStats::pairs_tested;
+  static NodeRef Side(const PairFrame& frame, size_t side) {
+    return frame.ref[side];
   }
 
-  // Equal leaf levels: the all-pairs test is the join's hot loop —
-  // transpose the right node once and let the rect kernels test every
-  // right entry against each left entry in one call. Ascending bit
-  // order keeps the (le, re) callback order identical to the scalar
-  // nested loop.
-  if (lnode.is_leaf()) {
-    const simd::RectSoa rsoa = scratch->Transpose(rnode);
-    const simd::RectKernels& kernels = simd::ActiveKernels();
-    for (const Entry& le : lnode.entries) {
-      if (stats != nullptr) stats->pairs_tested += rsoa.count;
-      kernels.intersects(rsoa, le.mbr, scratch->mask.data());
-      simd::ForEachSetBit(scratch->mask.data(), rsoa.count, [&](size_t i) {
-        if (stats != nullptr) ++stats->results;
-        const Entry& re = rnode.entries[i];
-        callback(LeafHit{le.mbr, le.AsRid()}, LeafHit{re.mbr, re.AsRid()});
+  template <typename T>
+  Status OnNode(const PairFrame& frame, const SoaNode* nodes, T& t) {
+    const SoaNode& lnode = nodes[0];
+    const SoaNode& rnode = nodes[1];
+    if (lnode.level != rnode.level) {
+      // Unequal levels: descend the taller side against the whole other
+      // node (its MBR hoisted — one computation per visit).
+      const size_t tall = lnode.level > rnode.level ? 0 : 1;
+      const SoaNode& node = nodes[tall];
+      const geom::Rect other = nodes[1 - tall].Mbr();
+      const uint64_t* mask = t.Mask(intersects, node.rects(), other);
+      t.PushChildren(node, mask, [&](size_t i) {
+        PairFrame child = frame;
+        child.ref[tall] = NodeRef::ChildOf(node, i);
+        return child;
       });
+      return Status::OK();
     }
+    // Equal levels: one kernel call tests every right entry against a
+    // left entry; ascending bit order keeps the nested-loop pair order.
+    t.PushInOrder([&] {
+      for (size_t i = 0; i < lnode.count(); ++i) {
+        const geom::Rect le = lnode.RectAt(i);
+        const uint64_t* mask = t.Mask(intersects, rnode.rects(), le);
+        simd::ForEachSetBit(mask, rnode.count(), [&](size_t j) {
+          if (lnode.is_leaf()) {
+            ++t.stats()->results;
+            (*callback)(LeafHit{le, lnode.RidAt(i)},
+                        LeafHit{rnode.RectAt(j), rnode.RidAt(j)});
+          } else {
+            t.Push(PairFrame{{NodeRef::ChildOf(lnode, i),
+                              NodeRef::ChildOf(rnode, j)}});
+          }
+        });
+      }
+    });
     return Status::OK();
   }
 
-  // Equal interior levels: pairwise test, descending on intersection.
-  for (const Entry& le : lnode.entries) {
-    for (const Entry& re : rnode.entries) {
-      if (stats != nullptr) ++stats->pairs_tested;
-      if (!le.mbr.Intersects(re.mbr)) continue;
-      PICTDB_RETURN_IF_ERROR(JoinRec(left, right, le.AsChild(), re.AsChild(),
-                                     callback, stats, options, scratch));
-    }
-  }
-  return Status::OK();
-}
+  const JoinCallback* callback;
+  decltype(simd::RectKernels::intersects) intersects =
+      simd::ActiveKernels().intersects;
+};
 
 }  // namespace
 
@@ -131,9 +72,12 @@ Status SpatialJoin(const RTree& left, const RTree& right,
                    const JoinCallback& callback, JoinStats* stats,
                    const SearchOptions& options) {
   if (left.Size() == 0 || right.Size() == 0) return Status::OK();
-  JoinScratch scratch;
-  return JoinRec(left, right, left.root(), right.root(), callback, stats,
-                 options, &scratch);
+  JoinSearch policy{{}, &callback};
+  using Engine = Traversal<JoinSearch>;
+  Engine t({&left, &right},
+           PairFrame{{Engine::Root(left), Engine::Root(right)}}, options,
+           stats);
+  return t.Run(policy);
 }
 
 Status NestedLoopJoin(const RTree& left, const RTree& right,

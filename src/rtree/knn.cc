@@ -1,9 +1,7 @@
 #include "rtree/knn.h"
 
-#include <algorithm>
-#include <queue>
-
 #include "geom/distance.h"
+#include "rtree/traverse.h"
 
 namespace pictdb::rtree {
 
@@ -14,27 +12,61 @@ namespace {
 struct QueueItem {
   double distance;
   enum class Kind { kNode, kEntry, kRefined } kind = Kind::kNode;
-  storage::PageId node;    // kNode
-  LeafHit hit;             // kEntry / kRefined
+  NodeRef node;  // kNode
+  LeafHit hit;   // kEntry / kRefined
 
   friend bool operator>(const QueueItem& a, const QueueItem& b) {
     return a.distance > b.distance;
   }
 };
 
-/// Shared degraded-mode handling for a failed node read during a
-/// best-first traversal: quarantine + account, or propagate.
-Status HandleNodeReadFailure(const Status& st, storage::PageId node,
-                             SearchStats* stats,
-                             const SearchOptions& options) {
-  if (!options.ShouldDegrade(st)) return st;
-  if (options.quarantine != nullptr) options.quarantine->Add(node);
-  if (stats != nullptr) {
-    ++stats->skipped_subtrees;
-    stats->degraded = true;
+/// Best-first search on MINDIST. Without a resolver, candidate entries
+/// are final when they pop; with one, they are re-queued under their
+/// exact distance (>= MINDIST, so the order stays correct) and final
+/// when they pop again.
+struct NearestSearch : SearchPolicy<QueueItem, /*kBestFirst=*/true> {
+  static NodeRef Side(const QueueItem& item, size_t) { return item.node; }
+  static bool IsNode(const QueueItem& item) {
+    return item.kind == QueueItem::Kind::kNode;
   }
-  return Status::OK();
-}
+  bool Done() const { return result->size() == k; }
+
+  template <typename T>
+  Status OnItem(const QueueItem& item, T& t) {
+    if (item.kind == QueueItem::Kind::kEntry && resolver) {
+      PICTDB_ASSIGN_OR_RETURN(const geom::Geometry g, resolver(item.hit.rid));
+      t.Push(QueueItem{geom::DistanceTo(g, query), QueueItem::Kind::kRefined,
+                       {}, item.hit});
+      return Status::OK();
+    }
+    // Nothing still queued can beat it: this is the next neighbour.
+    result->push_back(Neighbor{item.hit, item.distance});
+    return Status::OK();
+  }
+
+  template <typename T>
+  Status OnNode(const QueueItem&, const SoaNode* nodes, T& t) {
+    const SoaNode& node = nodes[0];
+    t.Tested(node.count());
+    for (size_t i = 0; i < node.count(); ++i) {
+      const geom::Rect mbr = node.RectAt(i);
+      const double d = geom::MinDistance(mbr, query);
+      if (node.is_leaf()) {
+        t.Push(QueueItem{d, QueueItem::Kind::kEntry, {},
+                         LeafHit{mbr, node.RidAt(i)}});
+      } else {
+        t.Push(QueueItem{d, QueueItem::Kind::kNode, NodeRef::ChildOf(node, i),
+                         {}});
+      }
+    }
+    return Status::OK();
+  }
+
+  geom::Point query;
+  size_t k;
+  const GeometryResolver& resolver;  // empty: MBR distances are final
+  std::vector<Neighbor>* result;
+};
 
 }  // namespace
 
@@ -42,53 +74,8 @@ StatusOr<std::vector<Neighbor>> SearchNearest(const RTree& tree,
                                               const geom::Point& query,
                                               size_t k, SearchStats* stats,
                                               const SearchOptions& options) {
-  std::vector<Neighbor> result;
-  if (k == 0 || tree.Size() == 0) return result;
-
-  std::priority_queue<QueueItem, std::vector<QueueItem>,
-                      std::greater<QueueItem>>
-      frontier;
-  frontier.push(QueueItem{0.0, QueueItem::Kind::kNode, tree.root(), {}});
-
-  // Best-first expansion never holds two nodes at once, so one SoA
-  // image is reused for every decode (no per-node allocation).
-  SoaNode node;
-  while (!frontier.empty()) {
-    PICTDB_RETURN_IF_ERROR(options.CheckRunnable());
-    const QueueItem item = frontier.top();
-    frontier.pop();
-
-    if (item.kind == QueueItem::Kind::kEntry) {
-      // Entries pop in exact distance order relative to everything still
-      // queued, so this is the next nearest neighbour.
-      result.push_back(Neighbor{item.hit, item.distance});
-      if (result.size() == k) break;
-      continue;
-    }
-
-    const Status loaded = tree.ReadNodePageSoa(item.node, &node);
-    if (!loaded.ok()) {
-      PICTDB_RETURN_IF_ERROR(
-          HandleNodeReadFailure(loaded, item.node, stats, options));
-      continue;
-    }
-    if (stats != nullptr) ++stats->nodes_visited;
-    for (size_t i = 0; i < node.count(); ++i) {
-      if (stats != nullptr) ++stats->entries_tested;
-      const geom::Rect mbr = node.RectAt(i);
-      const double d = geom::MinDistance(mbr, query);
-      if (node.is_leaf()) {
-        frontier.push(QueueItem{d, QueueItem::Kind::kEntry,
-                                storage::kInvalidPageId,
-                                LeafHit{mbr, node.RidAt(i)}});
-      } else {
-        frontier.push(
-            QueueItem{d, QueueItem::Kind::kNode, node.ChildAt(i), {}});
-      }
-    }
-  }
-  if (stats != nullptr) stats->results = result.size();
-  return result;
+  return SearchNearestExact(tree, query, k, GeometryResolver(), stats,
+                            options);
 }
 
 StatusOr<std::vector<Neighbor>> SearchNearestExact(
@@ -97,58 +84,13 @@ StatusOr<std::vector<Neighbor>> SearchNearestExact(
     const SearchOptions& options) {
   std::vector<Neighbor> result;
   if (k == 0 || tree.Size() == 0) return result;
-
-  std::priority_queue<QueueItem, std::vector<QueueItem>,
-                      std::greater<QueueItem>>
-      frontier;
-  frontier.push(QueueItem{0.0, QueueItem::Kind::kNode, tree.root(), {}});
-
-  SoaNode node;
-  while (!frontier.empty()) {
-    PICTDB_RETURN_IF_ERROR(options.CheckRunnable());
-    const QueueItem item = frontier.top();
-    frontier.pop();
-
-    switch (item.kind) {
-      case QueueItem::Kind::kRefined:
-        // Exact distance known and no queued item can beat it.
-        result.push_back(Neighbor{item.hit, item.distance});
-        if (result.size() == k) return result;
-        break;
-      case QueueItem::Kind::kEntry: {
-        // MBR-level candidate: refine to the exact object distance and
-        // re-queue (exact >= MBR MINDIST, so ordering stays correct).
-        PICTDB_ASSIGN_OR_RETURN(const geom::Geometry g,
-                                resolver(item.hit.rid));
-        frontier.push(QueueItem{geom::DistanceTo(g, query),
-                                QueueItem::Kind::kRefined,
-                                storage::kInvalidPageId, item.hit});
-        break;
-      }
-      case QueueItem::Kind::kNode: {
-        const Status loaded = tree.ReadNodePageSoa(item.node, &node);
-        if (!loaded.ok()) {
-          PICTDB_RETURN_IF_ERROR(
-              HandleNodeReadFailure(loaded, item.node, stats, options));
-          break;
-        }
-        if (stats != nullptr) ++stats->nodes_visited;
-        for (size_t i = 0; i < node.count(); ++i) {
-          if (stats != nullptr) ++stats->entries_tested;
-          const geom::Rect mbr = node.RectAt(i);
-          const double d = geom::MinDistance(mbr, query);
-          frontier.push(QueueItem{
-              d,
-              node.is_leaf() ? QueueItem::Kind::kEntry
-                             : QueueItem::Kind::kNode,
-              node.is_leaf() ? storage::kInvalidPageId : node.ChildAt(i),
-              node.is_leaf() ? LeafHit{mbr, node.RidAt(i)} : LeafHit{}});
-        }
-        break;
-      }
-    }
-  }
-  if (stats != nullptr) stats->results = result.size();
+  NearestSearch policy{{}, query, k, resolver, &result};
+  using Engine = Traversal<NearestSearch>;
+  Engine t({&tree},
+           QueueItem{0.0, QueueItem::Kind::kNode, Engine::Root(tree), {}},
+           options, stats);
+  PICTDB_RETURN_IF_ERROR(t.Run(policy));
+  t.stats()->results = result.size();
   return result;
 }
 

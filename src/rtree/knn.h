@@ -37,7 +37,8 @@ using GeometryResolver =
 /// lazy refinement — candidate entries are re-queued under their exact
 /// distance (computed via `resolver` + geom::DistanceTo) and only
 /// finalized when they pop ahead of every unexpanded node and
-/// unrefined candidate. Resolves only the geometries it must.
+/// unrefined candidate. Resolves only the geometries it must. With an
+/// empty `resolver` this is SearchNearest.
 StatusOr<std::vector<Neighbor>> SearchNearestExact(
     const RTree& tree, const geom::Point& query, size_t k,
     const GeometryResolver& resolver, SearchStats* stats = nullptr,

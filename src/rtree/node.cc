@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <string>
 
 #include "common/logging.h"
 #include "simd/dispatch.h"
@@ -16,6 +17,12 @@ constexpr size_t kNodeHeaderSize = 8;
 constexpr size_t kEntrySize = 4 * sizeof(double) + sizeof(uint64_t);
 
 std::atomic<uint64_t> g_mbr_computes{0};
+
+Status CheckCount(uint16_t count, uint32_t page_size) {
+  if (count <= NodePageCapacity(page_size)) return Status::OK();
+  return Status::Corruption("corrupt R-tree node: count " +
+                            std::to_string(count));
+}
 
 }  // namespace
 
@@ -41,13 +48,12 @@ size_t NodePageCapacity(uint32_t page_size) {
   return (page_size - kNodeHeaderSize) / kEntrySize;
 }
 
-Node ReadNode(const char* page, uint32_t page_size) {
+StatusOr<Node> ReadNode(const char* page, uint32_t page_size) {
   Node node;
   uint16_t count;
   std::memcpy(&node.level, page, 2);
   std::memcpy(&count, page + 2, 2);
-  PICTDB_CHECK(count <= NodePageCapacity(page_size))
-      << "corrupt R-tree node: count " << count;
+  PICTDB_RETURN_IF_ERROR(CheckCount(count, page_size));
   node.entries.resize(count);
   const char* p = page + kNodeHeaderSize;
   for (uint16_t i = 0; i < count; ++i, p += kEntrySize) {
@@ -61,12 +67,11 @@ Node ReadNode(const char* page, uint32_t page_size) {
   return node;
 }
 
-void ReadNodeSoa(const char* page, uint32_t page_size, SoaNode* out) {
+Status ReadNodeSoa(const char* page, uint32_t page_size, SoaNode* out) {
   uint16_t count;
   std::memcpy(&out->level, page, 2);
   std::memcpy(&count, page + 2, 2);
-  PICTDB_CHECK(count <= NodePageCapacity(page_size))
-      << "corrupt R-tree node: count " << count;
+  PICTDB_RETURN_IF_ERROR(CheckCount(count, page_size));
   out->xmin.resize(count);
   out->ymin.resize(count);
   out->xmax.resize(count);
@@ -79,6 +84,7 @@ void ReadNodeSoa(const char* page, uint32_t page_size, SoaNode* out) {
                                   out->xmin.data(), out->ymin.data(),
                                   out->xmax.data(), out->ymax.data(),
                                   out->payloads.data());
+  return Status::OK();
 }
 
 void WriteNode(const Node& node, char* page, uint32_t page_size) {

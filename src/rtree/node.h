@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "common/status_or.h"
 #include "geom/rect.h"
 #include "simd/rect_kernels.h"
 #include "storage/heap_file.h"
@@ -105,12 +106,13 @@ struct SoaNode {
 /// Maximum entries that fit in a page of the given size.
 size_t NodePageCapacity(uint32_t page_size);
 
-/// Decode a node from its page image.
-Node ReadNode(const char* page, uint32_t page_size);
+/// Decode a node from its page image. A count beyond NodePageCapacity
+/// (a page that passed its checksum but is not a node) is Corruption.
+StatusOr<Node> ReadNode(const char* page, uint32_t page_size);
 
 /// Decode a node from its page image into SoA lanes, reusing `out`'s
-/// storage. CHECKs on a corrupt count like ReadNode.
-void ReadNodeSoa(const char* page, uint32_t page_size, SoaNode* out);
+/// storage. Corruption on a bad count, like ReadNode.
+Status ReadNodeSoa(const char* page, uint32_t page_size, SoaNode* out);
 
 /// Encode a node onto a page image. CHECKs that it fits.
 void WriteNode(const Node& node, char* page, uint32_t page_size);

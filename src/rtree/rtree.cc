@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cstring>
 #include <numeric>
+#include <unordered_map>
 #include <utility>
 
 #include "common/logging.h"
+#include "rtree/traverse.h"
 #include "simd/dispatch.h"
 
 namespace pictdb::rtree {
@@ -43,14 +45,26 @@ MetaImage ReadMeta(const char* page) {
   return m;
 }
 
-void WriteMeta(const MetaImage& m, char* page) {
-  std::memcpy(page, &m.root, 4);
-  std::memcpy(page + 4, &m.height, 4);
-  std::memcpy(page + 8, &m.size, 8);
-  std::memcpy(page + 16, &m.max_entries, 2);
-  std::memcpy(page + 18, &m.min_entries, 2);
-  std::memcpy(page + 20, &m.split, 1);
-  std::memcpy(page + 21, &m.forced_reinsert, 1);
+void WriteMeta(PageId root, uint32_t height, uint64_t size,
+               const RTreeOptions& opts, char* page) {
+  const auto max_entries = static_cast<uint16_t>(opts.max_entries);
+  const auto min_entries = static_cast<uint16_t>(opts.min_entries);
+  const auto split = static_cast<uint8_t>(opts.split);
+  const uint8_t forced_reinsert = opts.forced_reinsert ? 1 : 0;
+  std::memcpy(page, &root, 4);
+  std::memcpy(page + 4, &height, 4);
+  std::memcpy(page + 8, &size, 8);
+  std::memcpy(page + 16, &max_entries, 2);
+  std::memcpy(page + 18, &min_entries, 2);
+  std::memcpy(page + 20, &split, 1);
+  std::memcpy(page + 21, &forced_reinsert, 1);
+}
+
+/// Allocate a page holding an empty leaf: the root of an empty tree.
+StatusOr<PageId> NewEmptyRoot(BufferPool* pool) {
+  PICTDB_ASSIGN_OR_RETURN(PageGuard root, pool->NewPage());
+  WriteNode(Node{}, root.mutable_data(), pool->page_size());
+  return root.id();
 }
 
 /// Guttman's ChooseSubtree criterion: least enlargement, ties by smaller
@@ -104,22 +118,9 @@ StatusOr<RTree> RTree::Create(BufferPool* pool, const RTreeOptions& options) {
                           NormalizeOptions(options, pool->page_size()));
 
   PICTDB_ASSIGN_OR_RETURN(PageGuard meta, pool->NewPage());
-  PICTDB_ASSIGN_OR_RETURN(PageGuard root, pool->NewPage());
-  Node empty_root;
-  empty_root.level = 0;
-  WriteNode(empty_root, root.mutable_data(), pool->page_size());
-
-  MetaImage m;
-  m.root = root.id();
-  m.height = 1;
-  m.size = 0;
-  m.max_entries = static_cast<uint16_t>(opts.max_entries);
-  m.min_entries = static_cast<uint16_t>(opts.min_entries);
-  m.split = static_cast<uint8_t>(opts.split);
-  m.forced_reinsert = opts.forced_reinsert ? 1 : 0;
-  WriteMeta(m, meta.mutable_data());
-
-  return RTree(pool, meta.id(), root.id(), 1, 0, opts);
+  PICTDB_ASSIGN_OR_RETURN(const PageId root, NewEmptyRoot(pool));
+  WriteMeta(root, 1, 0, opts, meta.mutable_data());
+  return RTree(pool, meta.id(), root, 1, 0, opts);
 }
 
 StatusOr<RTree> RTree::CreateAt(BufferPool* pool, PageId meta_page,
@@ -131,22 +132,9 @@ StatusOr<RTree> RTree::CreateAt(BufferPool* pool, PageId meta_page,
   // so an unreadable page comes back zeroed instead of failing recovery.
   PICTDB_ASSIGN_OR_RETURN(PageGuard meta,
                           pool->FetchPageForOverwrite(meta_page));
-  PICTDB_ASSIGN_OR_RETURN(PageGuard root, pool->NewPage());
-  Node empty_root;
-  empty_root.level = 0;
-  WriteNode(empty_root, root.mutable_data(), pool->page_size());
-
-  MetaImage m;
-  m.root = root.id();
-  m.height = 1;
-  m.size = 0;
-  m.max_entries = static_cast<uint16_t>(opts.max_entries);
-  m.min_entries = static_cast<uint16_t>(opts.min_entries);
-  m.split = static_cast<uint8_t>(opts.split);
-  m.forced_reinsert = opts.forced_reinsert ? 1 : 0;
-  WriteMeta(m, meta.mutable_data());
-
-  return RTree(pool, meta_page, root.id(), 1, 0, opts);
+  PICTDB_ASSIGN_OR_RETURN(const PageId root, NewEmptyRoot(pool));
+  WriteMeta(root, 1, 0, opts, meta.mutable_data());
+  return RTree(pool, meta_page, root, 1, 0, opts);
 }
 
 StatusOr<RTree> RTree::Open(BufferPool* pool, PageId meta_page) {
@@ -177,11 +165,9 @@ Status RTree::LoadNodeSoa(PageId id, SoaNode* out) const {
   // Same copy-then-release latch discipline as LoadNode.
   if (concurrent_reads_.load(std::memory_order_relaxed)) {
     ReaderMutexLock latch(pool_->LatchFor(guard));
-    ReadNodeSoa(guard.data(), pool_->page_size(), out);
-    return Status::OK();
+    return ReadNodeSoa(guard.data(), pool_->page_size(), out);
   }
-  ReadNodeSoa(guard.data(), pool_->page_size(), out);
-  return Status::OK();
+  return ReadNodeSoa(guard.data(), pool_->page_size(), out);
 }
 
 Status RTree::StoreNode(PageId id, const Node& node) {
@@ -202,15 +188,7 @@ Status RTree::RetirePage(PageId id) {
 
 Status RTree::PersistMeta() {
   PICTDB_ASSIGN_OR_RETURN(PageGuard meta, pool_->FetchPage(meta_page_));
-  MetaImage m;
-  m.root = root();
-  m.height = Height();
-  m.size = Size();
-  m.max_entries = static_cast<uint16_t>(options_.max_entries);
-  m.min_entries = static_cast<uint16_t>(options_.min_entries);
-  m.split = static_cast<uint8_t>(options_.split);
-  m.forced_reinsert = options_.forced_reinsert ? 1 : 0;
-  WriteMeta(m, meta.mutable_data());
+  WriteMeta(root(), Height(), Size(), options_, meta.mutable_data());
   return Status::OK();
 }
 
@@ -278,21 +256,15 @@ StatusOr<RTree::InsertResult> RTree::InsertRec(PageId node_id,
   // Split this node (Guttman's SplitNode + AdjustTree step).
   auto [group1, group2] =
       SplitEntries(std::move(node.entries), MinEntries(), options_.split);
-  Node left;
-  left.level = node.level;
-  left.entries = std::move(group1);
-  Node right;
-  right.level = node.level;
-  right.entries = std::move(group2);
-
-  PICTDB_ASSIGN_OR_RETURN(PageGuard right_page, pool_->NewPage());
-  WriteNode(right, right_page.mutable_data(), pool_->page_size());
+  const Node left{node.level, std::move(group1)};
+  const Node right{node.level, std::move(group2)};
+  PICTDB_ASSIGN_OR_RETURN(result.split_page,
+                          BulkWriteNode(right.level, right.entries));
   PICTDB_RETURN_IF_ERROR(StoreNode(node_id, left));
 
   result.mbr = left.Mbr();
   result.split = true;
   result.split_mbr = right.Mbr();
-  result.split_page = right_page.id();
   return result;
 }
 
@@ -314,19 +286,14 @@ Status RTree::InsertAtLevel(const Entry& entry, uint16_t target_level) {
                   &ctx));
     if (result.split) {
       // Grow the tree: new root over the two halves.
-      Node new_root;
-      new_root.level = static_cast<uint16_t>(Height());
-      Entry left;
-      left.mbr = result.mbr;
-      left.payload = Entry::PayloadFromChild(root());
-      Entry right;
-      right.mbr = result.split_mbr;
-      right.payload = Entry::PayloadFromChild(result.split_page);
-      new_root.entries = {left, right};
-      PICTDB_ASSIGN_OR_RETURN(PageGuard root_page, pool_->NewPage());
-      WriteNode(new_root, root_page.mutable_data(), pool_->page_size());
+      PICTDB_ASSIGN_OR_RETURN(
+          const PageId new_root,
+          BulkWriteNode(static_cast<uint16_t>(Height()),
+                        {Entry{result.mbr, Entry::PayloadFromChild(root())},
+                         Entry{result.split_mbr,
+                               Entry::PayloadFromChild(result.split_page)}}));
       // Publish only after the new root's bytes exist.
-      SetRootHeight(root_page.id(), Height() + 1);
+      SetRootHeight(new_root, Height() + 1);
       ctx.reinserted_at_level.resize(Height(), false);
     }
     for (auto& evicted : ctx.pending) {
@@ -457,214 +424,131 @@ Status RTree::Update(const Rect& old_mbr, const Rid& old_rid,
 }
 
 StatusOr<bool> RTree::Contains(const Rect& mbr, const Rid& rid) const {
-  PICTDB_ASSIGN_OR_RETURN(
-      const std::vector<LeafHit> hits,
-      SearchCustom([&mbr](const Rect& r) { return r.Contains(mbr); },
-                   [&mbr](const Rect& r) { return r == mbr; }));
+  PICTDB_ASSIGN_OR_RETURN(const std::vector<LeafHit> hits,
+                          SearchContaining(mbr));
   for (const LeafHit& hit : hits) {
-    if (hit.rid == rid) return true;
+    if (hit.mbr == mbr && hit.rid == rid) return true;
   }
   return false;
 }
 
-Status RTree::SearchRec(PageId node_id,
-                        const std::function<bool(const Rect&)>& prune,
-                        const std::function<bool(const Rect&)>& accept,
-                        std::vector<LeafHit>* out, SearchStats* stats,
-                        const SearchOptions& options) const {
-  PICTDB_RETURN_IF_ERROR(options.CheckRunnable());
-  auto loaded = LoadNode(node_id);
-  if (!loaded.ok()) {
-    if (options.ShouldDegrade(loaded.status())) {
-      // Quarantine the bad page and carry on with the rest of the tree:
-      // a partial answer flagged degraded beats no answer.
-      if (options.quarantine != nullptr) options.quarantine->Add(node_id);
-      if (stats != nullptr) {
-        ++stats->skipped_subtrees;
-        stats->degraded = true;
-      }
-      return Status::OK();
-    }
-    return loaded.status();
-  }
-  const Node node = std::move(loaded).value();
-  if (stats != nullptr) ++stats->nodes_visited;
+namespace {
 
-  if (node.is_leaf()) {
-    for (const Entry& e : node.entries) {
-      if (stats != nullptr) ++stats->entries_tested;
-      if (accept(e.mbr)) {
-        out->push_back(LeafHit{e.mbr, e.AsRid()});
-        if (stats != nullptr) ++stats->results;
-      }
-    }
-    return Status::OK();
-  }
-  for (const Entry& e : node.entries) {
-    if (stats != nullptr) ++stats->entries_tested;
-    if (prune(e.mbr)) {
-      PICTDB_RETURN_IF_ERROR(
-          SearchRec(e.AsChild(), prune, accept, out, stats, options));
-    }
-  }
-  return Status::OK();
-}
-
-StatusOr<std::vector<LeafHit>> RTree::SearchCustom(
-    const std::function<bool(const Rect&)>& prune,
-    const std::function<bool(const Rect&)>& accept, SearchStats* stats,
-    const SearchOptions& options) const {
+/// Run one ShapeSearch over `tree` and return its hits.
+template <typename Shape>
+StatusOr<std::vector<LeafHit>> RunShapeSearch(const RTree& tree,
+                                              LaneTest<Shape> interior,
+                                              LaneTest<Shape> leaf,
+                                              const Shape& shape,
+                                              SearchStats* stats,
+                                              const SearchOptions& options) {
   std::vector<LeafHit> out;
-  // Degraded-mode accounting must have somewhere to live even when the
-  // caller did not ask for stats.
-  SearchStats local;
-  SearchStats* s = stats != nullptr ? stats : &local;
-  PICTDB_RETURN_IF_ERROR(SearchRec(root(), prune, accept, &out, s, options));
+  ShapeSearch<Shape> policy{{}, interior, leaf, shape, &out};
+  PICTDB_RETURN_IF_ERROR(TraverseTree(tree, policy, options, stats));
   return out;
 }
 
-namespace {
-
-using simd::ForEachSetBit;
-
-/// Shared degraded-mode bookkeeping for a failed node load during the
-/// kernel-driven traversals (mirrors the inline block in SearchRec).
-bool DegradeOrFail(const Status& st, PageId id, SearchStats* stats,
-                   const SearchOptions& options) {
-  if (!options.ShouldDegrade(st)) return false;
-  if (options.quarantine != nullptr) options.quarantine->Add(id);
-  if (stats != nullptr) {
-    ++stats->skipped_subtrees;
-    stats->degraded = true;
+/// Scalar per-lane `lane.Contains(probe)`; no kernel computes it.
+void LanesContain(const simd::RectSoa& rects, const Rect& probe,
+                  uint64_t* mask) {
+  std::fill(mask, mask + simd::MaskWords(rects.count), 0);
+  for (size_t i = 0; i < rects.count; ++i) {
+    if (simd::LaneRect(rects, i).Contains(probe)) {
+      mask[i / 64] |= uint64_t{1} << (i % 64);
+    }
   }
-  return true;
 }
+
+/// Batched window search: frames carry the windows still active on
+/// their subtree. Active lists stay sorted ascending by construction
+/// (built by in-order scans), so per-window work happens in a
+/// deterministic order.
+struct BatchFrame {
+  NodeRef ref;
+  std::vector<uint32_t> active;
+};
+
+struct BatchSearch : SearchPolicy<BatchFrame> {
+  static NodeRef Side(const BatchFrame& frame, size_t) { return frame.ref; }
+
+  /// Only the windows still active on a skipped subtree lose answers.
+  void OnSkip(const BatchFrame& frame) {
+    for (const uint32_t q : frame.active) (*results)[q].degraded = true;
+  }
+
+  template <typename T>
+  Status OnNode(const BatchFrame& frame, const SoaNode* nodes, T& t) {
+    const SoaNode& node = nodes[0];
+    const simd::RectSoa rects = node.rects();
+    if (node.is_leaf()) {
+      const auto qualify = contained_only ? kernels.contained_in
+                                          : kernels.intersects;
+      for (const uint32_t q : frame.active) {
+        const uint64_t* mask = t.Mask(qualify, rects, windows[q]);
+        simd::ForEachSetBit(mask, node.count(), [&](size_t i) {
+          (*results)[q].hits.push_back(
+              LeafHit{node.RectAt(i), node.RidAt(i)});
+          ++t.stats()->results;
+        });
+      }
+      return Status::OK();
+    }
+    // Each window prunes by intersection exactly as its single-window
+    // search would, so the subsequence of nodes where a window stays
+    // active is precisely that window's own DFS.
+    std::vector<std::vector<uint32_t>> child_active(node.count());
+    for (const uint32_t q : frame.active) {
+      const uint64_t* mask = t.Mask(kernels.intersects, rects, windows[q]);
+      simd::ForEachSetBit(mask, node.count(),
+                          [&](size_t i) { child_active[i].push_back(q); });
+    }
+    t.PushInOrder([&] {
+      for (size_t i = 0; i < node.count(); ++i) {
+        if (child_active[i].empty()) continue;
+        t.Push(BatchFrame{NodeRef::ChildOf(node, i),
+                          std::move(child_active[i])});
+      }
+    });
+    return Status::OK();
+  }
+
+  std::span<const Rect> windows;
+  bool contained_only;
+  std::vector<BatchHits>* results;
+  const simd::RectKernels& kernels = simd::ActiveKernels();
+};
 
 }  // namespace
-
-void RTree::PrefetchUpcoming(const std::vector<PageId>& stack) const {
-#ifdef PICTDB_PREFETCH
-  // The next few pops are the stack tail; deeper entries will be
-  // re-hinted when their turn approaches.
-  constexpr size_t kPrefetchDepth = 4;
-  const size_t n = std::min(stack.size(), kPrefetchDepth);
-  pool_->PrefetchResident(
-      std::span<const PageId>(stack.data() + (stack.size() - n), n));
-#else
-  (void)stack;
-#endif
-}
-
-Status RTree::SearchWindowFast(const Rect& window, WindowMode mode,
-                               std::vector<LeafHit>* out, SearchStats* stats,
-                               const SearchOptions& options) const {
-  const simd::RectKernels& kernels = simd::ActiveKernels();
-  SoaNode node;  // reused across every node visit
-  std::vector<uint64_t> mask;
-  std::vector<PageId> stack = {root()};
-  while (!stack.empty()) {
-    const PageId id = stack.back();
-    stack.pop_back();
-    PICTDB_RETURN_IF_ERROR(options.CheckRunnable());
-    const Status loaded = LoadNodeSoa(id, &node);
-    if (!loaded.ok()) {
-      if (DegradeOrFail(loaded, id, stats, options)) continue;
-      return loaded;
-    }
-    if (stats != nullptr) {
-      ++stats->nodes_visited;
-      stats->entries_tested += node.count();
-    }
-    mask.resize(simd::MaskWords(node.count()));
-    if (node.is_leaf()) {
-      if (mode == WindowMode::kContainedIn) {
-        kernels.contained_in(node.rects(), window, mask.data());
-      } else {
-        kernels.intersects(node.rects(), window, mask.data());
-      }
-      ForEachSetBit(mask.data(), node.count(), [&](size_t i) {
-        out->push_back(LeafHit{node.RectAt(i), node.RidAt(i)});
-        if (stats != nullptr) ++stats->results;
-      });
-      continue;
-    }
-    // Both modes prune interior entries by intersection. Children are
-    // pushed in REVERSE entry order so the pop order — and therefore
-    // the hit order — matches SearchRec's entry-order recursion.
-    kernels.intersects(node.rects(), window, mask.data());
-    const size_t first_child = stack.size();
-    ForEachSetBit(mask.data(), node.count(),
-                  [&](size_t i) { stack.push_back(node.ChildAt(i)); });
-    std::reverse(stack.begin() + static_cast<ptrdiff_t>(first_child),
-                 stack.end());
-    PrefetchUpcoming(stack);
-  }
-  return Status::OK();
-}
-
-Status RTree::SearchPointFast(const geom::Point& p, std::vector<LeafHit>* out,
-                              SearchStats* stats,
-                              const SearchOptions& options) const {
-  const simd::RectKernels& kernels = simd::ActiveKernels();
-  SoaNode node;
-  std::vector<uint64_t> mask;
-  std::vector<PageId> stack = {root()};
-  while (!stack.empty()) {
-    const PageId id = stack.back();
-    stack.pop_back();
-    PICTDB_RETURN_IF_ERROR(options.CheckRunnable());
-    const Status loaded = LoadNodeSoa(id, &node);
-    if (!loaded.ok()) {
-      if (DegradeOrFail(loaded, id, stats, options)) continue;
-      return loaded;
-    }
-    if (stats != nullptr) {
-      ++stats->nodes_visited;
-      stats->entries_tested += node.count();
-    }
-    mask.resize(simd::MaskWords(node.count()));
-    kernels.contains_point(node.rects(), p, mask.data());
-    if (node.is_leaf()) {
-      ForEachSetBit(mask.data(), node.count(), [&](size_t i) {
-        out->push_back(LeafHit{node.RectAt(i), node.RidAt(i)});
-        if (stats != nullptr) ++stats->results;
-      });
-      continue;
-    }
-    const size_t first_child = stack.size();
-    ForEachSetBit(mask.data(), node.count(),
-                  [&](size_t i) { stack.push_back(node.ChildAt(i)); });
-    std::reverse(stack.begin() + static_cast<ptrdiff_t>(first_child),
-                 stack.end());
-    PrefetchUpcoming(stack);
-  }
-  return Status::OK();
-}
 
 StatusOr<std::vector<LeafHit>> RTree::SearchIntersects(
     const Rect& window, SearchStats* stats,
     const SearchOptions& options) const {
-  std::vector<LeafHit> out;
-  PICTDB_RETURN_IF_ERROR(SearchWindowFast(window, WindowMode::kIntersects,
-                                          &out, stats, options));
-  return out;
+  const LaneTest<Rect> intersects = simd::ActiveKernels().intersects;
+  return RunShapeSearch(*this, intersects, intersects, window, stats,
+                        options);
 }
 
 StatusOr<std::vector<LeafHit>> RTree::SearchContainedIn(
     const Rect& window, SearchStats* stats,
     const SearchOptions& options) const {
-  std::vector<LeafHit> out;
-  PICTDB_RETURN_IF_ERROR(SearchWindowFast(window, WindowMode::kContainedIn,
-                                          &out, stats, options));
-  return out;
+  // Interior entries prune by intersection; leaves qualify by WITHIN.
+  const simd::RectKernels& kernels = simd::ActiveKernels();
+  return RunShapeSearch<Rect>(*this, kernels.intersects, kernels.contained_in,
+                              window, stats, options);
 }
 
 StatusOr<std::vector<LeafHit>> RTree::SearchPoint(
     const geom::Point& p, SearchStats* stats,
     const SearchOptions& options) const {
-  std::vector<LeafHit> out;
-  PICTDB_RETURN_IF_ERROR(SearchPointFast(p, &out, stats, options));
-  return out;
+  const LaneTest<geom::Point> contains = simd::ActiveKernels().contains_point;
+  return RunShapeSearch(*this, contains, contains, p, stats, options);
+}
+
+StatusOr<std::vector<LeafHit>> RTree::SearchContaining(
+    const Rect& probe, SearchStats* stats,
+    const SearchOptions& options) const {
+  return RunShapeSearch<Rect>(*this, LanesContain, LanesContain, probe, stats,
+                              options);
 }
 
 StatusOr<std::vector<BatchHits>> RTree::SearchBatch(
@@ -672,166 +556,70 @@ StatusOr<std::vector<BatchHits>> RTree::SearchBatch(
     SearchStats* stats, const SearchOptions& options) const {
   std::vector<BatchHits> results(windows.size());
   if (windows.empty()) return results;
-
-  const simd::RectKernels& kernels = simd::ActiveKernels();
-  // One DFS frame per node the batch still has to visit, with the
-  // subset of windows that reached it. Active lists stay sorted
-  // ascending by construction (built by in-order scans), so per-window
-  // work happens in a deterministic order.
-  struct Frame {
-    PageId id;
-    std::vector<uint32_t> active;
-  };
-  std::vector<Frame> stack;
-  Frame root_frame;
-  root_frame.id = root();
-  root_frame.active.resize(windows.size());
-  std::iota(root_frame.active.begin(), root_frame.active.end(), 0u);
-  stack.push_back(std::move(root_frame));
-
-  SoaNode node;
-  std::vector<uint64_t> mask;
-  while (!stack.empty()) {
-    const Frame frame = std::move(stack.back());
-    stack.pop_back();
-    PICTDB_RETURN_IF_ERROR(options.CheckRunnable());
-    const Status loaded = LoadNodeSoa(frame.id, &node);
-    if (!loaded.ok()) {
-      if (DegradeOrFail(loaded, frame.id, stats, options)) {
-        // Only the windows that were still active on this subtree are
-        // missing answers.
-        for (const uint32_t q : frame.active) results[q].degraded = true;
-        continue;
-      }
-      return loaded;
-    }
-    if (stats != nullptr) {
-      ++stats->nodes_visited;
-      stats->entries_tested += node.count() * frame.active.size();
-    }
-    mask.resize(simd::MaskWords(node.count()));
-    if (node.is_leaf()) {
-      for (const uint32_t q : frame.active) {
-        if (contained_only) {
-          kernels.contained_in(node.rects(), windows[q], mask.data());
-        } else {
-          kernels.intersects(node.rects(), windows[q], mask.data());
-        }
-        ForEachSetBit(mask.data(), node.count(), [&](size_t i) {
-          results[q].hits.push_back(LeafHit{node.RectAt(i), node.RidAt(i)});
-          if (stats != nullptr) ++stats->results;
-        });
-      }
-      continue;
-    }
-    // Interior node: each window prunes by intersection exactly as its
-    // single-window search would, so the subsequence of nodes where a
-    // window stays active is precisely that window's own DFS.
-    std::vector<std::vector<uint32_t>> child_active(node.count());
-    for (const uint32_t q : frame.active) {
-      kernels.intersects(node.rects(), windows[q], mask.data());
-      ForEachSetBit(mask.data(), node.count(),
-                    [&](size_t i) { child_active[i].push_back(q); });
-    }
-    // Reverse entry order on the stack = entry-order traversal.
-    for (size_t e = node.count(); e-- > 0;) {
-      if (!child_active[e].empty()) {
-        stack.push_back(
-            Frame{node.ChildAt(e), std::move(child_active[e])});
-      }
-    }
-#ifdef PICTDB_PREFETCH
-    {
-      PageId next[4];
-      size_t n = 0;
-      for (size_t f = stack.size(); f-- > 0 && n < 4;) {
-        next[n++] = stack[f].id;
-      }
-      pool_->PrefetchResident(std::span<const PageId>(next, n));
-    }
-#endif
-  }
+  BatchSearch policy{{}, windows, contained_only, &results};
+  BatchFrame first{Traversal<BatchSearch>::Root(*this), {}};
+  first.active.resize(windows.size());
+  std::iota(first.active.begin(), first.active.end(), 0u);
+  Traversal<BatchSearch> t({this}, std::move(first), options, stats);
+  PICTDB_RETURN_IF_ERROR(t.Run(policy));
   return results;
 }
 
 StatusOr<uint64_t> RTree::CountNodes() const {
-  uint64_t count = 0;
-  std::vector<PageId> stack = {root()};
-  while (!stack.empty()) {
-    const PageId id = stack.back();
-    stack.pop_back();
-    ++count;
-    PICTDB_ASSIGN_OR_RETURN(const Node node, LoadNode(id));
-    if (!node.is_leaf()) {
-      for (const Entry& e : node.entries) stack.push_back(e.AsChild());
-    }
-  }
-  return count;
-}
-
-StatusOr<std::vector<Rect>> RTree::CollectLeafNodeMbrs() const {
-  return CollectNodeMbrsAtLevel(0);
+  SearchStats stats;
+  Walk count([](const NodeRef&, const SoaNode&) { return Status::OK(); });
+  PICTDB_RETURN_IF_ERROR(TraverseTree(*this, count, {}, &stats));
+  return stats.nodes_visited;
 }
 
 StatusOr<std::vector<Rect>> RTree::CollectNodeMbrsAtLevel(
     uint16_t level) const {
   std::vector<Rect> out;
-  std::vector<PageId> stack = {root()};
-  while (!stack.empty()) {
-    const PageId id = stack.back();
-    stack.pop_back();
-    PICTDB_ASSIGN_OR_RETURN(const Node node, LoadNode(id));
-    if (node.level == level) {
-      if (!node.entries.empty()) out.push_back(node.Mbr());
-    } else if (node.level > level && !node.is_leaf()) {
-      for (const Entry& e : node.entries) stack.push_back(e.AsChild());
-    }
-  }
+  Walk collect(
+      [&](const NodeRef&, const SoaNode& node) {
+        if (node.level == level && node.count() > 0) {
+          out.push_back(node.Mbr());
+        }
+        return Status::OK();
+      },
+      level);
+  PICTDB_RETURN_IF_ERROR(TraverseTree(*this, collect));
   return out;
 }
 
-StatusOr<std::vector<LeafHit>> RTree::CollectAllEntries() const {
-  return SearchCustom([](const Rect&) { return true; },
-                      [](const Rect&) { return true; });
-}
-
-Status RTree::ValidateRec(PageId node_id, uint16_t expected_level,
-                          const Rect* parent_mbr, uint64_t* leaf_entries,
-                          bool is_root) const {
-  PICTDB_ASSIGN_OR_RETURN(const Node node, LoadNode(node_id));
-  if (node.level != expected_level) {
-    return Status::Corruption("node level mismatch");
-  }
-  if (node.entries.size() > MaxEntries()) {
-    return Status::Corruption("node overfull");
-  }
-  if (!is_root && node.entries.size() < 1) {
-    return Status::Corruption("empty non-root node");
-  }
-  if (parent_mbr != nullptr && !(node.Mbr() == *parent_mbr)) {
-    return Status::Corruption("parent MBR is not the minimal bound");
-  }
-  if (node.is_leaf()) {
-    *leaf_entries += node.entries.size();
-    return Status::OK();
-  }
-  for (const Entry& e : node.entries) {
-    PICTDB_RETURN_IF_ERROR(
-        ValidateRec(e.AsChild(), static_cast<uint16_t>(expected_level - 1),
-                    &e.mbr, leaf_entries, /*is_root=*/false));
-  }
-  return Status::OK();
+StatusOr<std::vector<LeafHit>> RTree::CollectAllEntries(
+    SearchStats* stats) const {
+  return RunShapeSearch<Rect>(*this, MatchAll, MatchAll, Rect(), stats, {});
 }
 
 Status RTree::Validate() const {
-  // One load so root and height come from the same tree shape.
-  const uint64_t rh = root_height_.load();
-  const PageId root_id = static_cast<PageId>(rh & 0xFFFFFFFFu);
-  const uint32_t height = static_cast<uint32_t>(rh >> 32);
+  // The walk itself rejects nodes at the wrong level; this checks fill,
+  // minimal parent bounds and the recorded size. `bound` maps each child
+  // page to its parent entry's MBR; the root is the first node visited.
+  std::unordered_map<PageId, Rect> bound;
   uint64_t leaf_entries = 0;
-  PICTDB_RETURN_IF_ERROR(ValidateRec(
-      root_id, static_cast<uint16_t>(height - 1), nullptr, &leaf_entries,
-      /*is_root=*/true));
+  bool is_root = true;
+  Walk check([&](const NodeRef& ref, const SoaNode& node) {
+    if (node.count() > MaxEntries()) {
+      return Status::Corruption("node overfull");
+    }
+    if (!std::exchange(is_root, false) && node.count() < 1) {
+      return Status::Corruption("empty non-root node");
+    }
+    if (const auto parent = bound.extract(ref.id);
+        !parent.empty() && !(node.Mbr() == parent.mapped())) {
+      return Status::Corruption("parent MBR is not the minimal bound");
+    }
+    if (node.is_leaf()) {
+      leaf_entries += node.count();
+      return Status::OK();
+    }
+    for (size_t i = 0; i < node.count(); ++i) {
+      bound[node.ChildAt(i)] = node.RectAt(i);
+    }
+    return Status::OK();
+  });
+  PICTDB_RETURN_IF_ERROR(TraverseTree(*this, check));
   if (leaf_entries != Size()) {
     return Status::Corruption("recorded size does not match leaf entries");
   }
@@ -843,40 +631,24 @@ StatusOr<PageId> RTree::BulkWriteNode(uint16_t level,
   if (entries.empty() || entries.size() > MaxEntries()) {
     return Status::InvalidArgument("bulk node size out of range");
   }
-  Node node;
-  node.level = level;
-  node.entries = entries;
   PICTDB_ASSIGN_OR_RETURN(PageGuard page, pool_->NewPage());
-  WriteNode(node, page.mutable_data(), pool_->page_size());
+  WriteNode(Node{level, entries}, page.mutable_data(), pool_->page_size());
   return page.id();
 }
 
 Status RTree::Clear() {
-  std::vector<PageId> stack = {root()};
-  while (!stack.empty()) {
-    const PageId id = stack.back();
-    stack.pop_back();
-    PICTDB_ASSIGN_OR_RETURN(const Node node, LoadNode(id));
-    if (!node.is_leaf()) {
-      for (const Entry& e : node.entries) stack.push_back(e.AsChild());
-    }
-    PICTDB_RETURN_IF_ERROR(pool_->FreePage(id));
-  }
-  PICTDB_ASSIGN_OR_RETURN(PageGuard root_page, pool_->NewPage());
-  Node empty_root;
-  empty_root.level = 0;
-  WriteNode(empty_root, root_page.mutable_data(), pool_->page_size());
-  SetRootHeight(root_page.id(), 1);
-  size_.store(0);
-  return PersistMeta();
+  // The walk copies each node out before visit() runs, so its page is
+  // no longer pinned when freed.
+  Walk free_all([this](const NodeRef& ref, const SoaNode&) {
+    return pool_->FreePage(ref.id);
+  });
+  PICTDB_RETURN_IF_ERROR(TraverseTree(*this, free_all));
+  return ResetForRebuild();
 }
 
 Status RTree::ResetForRebuild() {
-  PICTDB_ASSIGN_OR_RETURN(PageGuard root_page, pool_->NewPage());
-  Node empty_root;
-  empty_root.level = 0;
-  WriteNode(empty_root, root_page.mutable_data(), pool_->page_size());
-  SetRootHeight(root_page.id(), 1);
+  PICTDB_ASSIGN_OR_RETURN(const PageId root_id, NewEmptyRoot(pool_));
+  SetRootHeight(root_id, 1);
   size_.store(0);
   return PersistMeta();
 }

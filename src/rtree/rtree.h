@@ -19,6 +19,9 @@
 
 namespace pictdb::rtree {
 
+template <typename Policy>
+class Traversal;
+
 /// Construction-time knobs.
 struct RTreeOptions {
   /// Maximum entries per node (the paper's branching factor). 0 derives it
@@ -74,16 +77,13 @@ struct SearchOptions {
   /// later ScrubAndRepack recovery.
   storage::PageQuarantine* quarantine = nullptr;
 
-  bool has_deadline() const {
-    return deadline != std::chrono::steady_clock::time_point::max();
-  }
-
-  /// Deadline/cancel poll shared by every traversal loop.
+  /// Deadline/cancel poll, made once per frame by the traversal engine.
   Status CheckRunnable() const {
     if (cancel != nullptr && cancel->load(std::memory_order_relaxed)) {
       return Status::DeadlineExceeded("query cancelled");
     }
-    if (has_deadline() && std::chrono::steady_clock::now() >= deadline) {
+    if (deadline != std::chrono::steady_clock::time_point::max() &&
+        std::chrono::steady_clock::now() >= deadline) {
       return Status::DeadlineExceeded("query deadline expired");
     }
     return Status::OK();
@@ -136,14 +136,7 @@ class RTree {
   static StatusOr<RTree> Open(storage::BufferPool* pool,
                               storage::PageId meta_page);
 
-  RTree(RTree&& other) noexcept
-      : pool_(other.pool_),
-        meta_page_(other.meta_page_),
-        root_height_(other.root_height_.load()),
-        size_(other.size_.load()),
-        options_(other.options_),
-        concurrent_reads_(other.concurrent_reads_.load()),
-        retire_hook_(std::move(other.retire_hook_)) {}
+  RTree(RTree&& other) noexcept { *this = std::move(other); }
   RTree& operator=(RTree&& other) noexcept {
     if (this != &other) {
       pool_ = other.pool_;
@@ -217,12 +210,12 @@ class RTree {
       std::span<const geom::Rect> windows, bool contained_only = false,
       SearchStats* stats = nullptr, const SearchOptions& options = {}) const;
 
-  /// General traversal: `prune(node_mbr)` decides whether to descend;
-  /// `accept(leaf_mbr)` decides whether a leaf entry qualifies.
-  StatusOr<std::vector<LeafHit>> SearchCustom(
-      const std::function<bool(const geom::Rect&)>& prune,
-      const std::function<bool(const geom::Rect&)>& accept,
-      SearchStats* stats = nullptr, const SearchOptions& options = {}) const;
+  /// Leaf entries whose MBR contains `probe` (the COVERING candidate
+  /// filter): interior entries are pruned the same way, since a child
+  /// can only hold a covering entry if its bound covers the probe too.
+  StatusOr<std::vector<LeafHit>> SearchContaining(
+      const geom::Rect& probe, SearchStats* stats = nullptr,
+      const SearchOptions& options = {}) const;
 
   // --- Introspection ------------------------------------------------------
 
@@ -242,14 +235,17 @@ class RTree {
 
   /// MBRs of all leaf nodes (not leaf entries) — inputs to the coverage
   /// and overlap metrics.
-  StatusOr<std::vector<geom::Rect>> CollectLeafNodeMbrs() const;
+  StatusOr<std::vector<geom::Rect>> CollectLeafNodeMbrs() const {
+    return CollectNodeMbrsAtLevel(0);
+  }
 
   /// MBRs of all nodes at `level` (0 = leaves).
   StatusOr<std::vector<geom::Rect>> CollectNodeMbrsAtLevel(
       uint16_t level) const;
 
   /// All leaf entries in tree order.
-  StatusOr<std::vector<LeafHit>> CollectAllEntries() const;
+  StatusOr<std::vector<LeafHit>> CollectAllEntries(
+      SearchStats* stats = nullptr) const;
 
   /// Check structural invariants: parent MBRs minimally bound children,
   /// node counts within [min,max] (root exempt), uniform leaf depth,
@@ -282,15 +278,15 @@ class RTree {
     retire_hook_ = std::move(hook);
   }
 
-  /// Decode the node stored at `id`. Low-level access for traversals that
-  /// live outside the class (spatial join, visualization).
+  /// Decode the node stored at `id`. Low-level access for tools that
+  /// inspect single pages (validator, visualization, fault tests).
   StatusOr<Node> ReadNodePage(storage::PageId id) const {
     return LoadNode(id);
   }
 
-  /// SoA variant of ReadNodePage for kernel-driven external traversals
-  /// (spatial join, kNN, cursors): decodes into caller-owned scratch so
-  /// a traversal that reuses one SoaNode never allocates per node.
+  /// SoA variant of ReadNodePage: decodes into caller-owned scratch, so
+  /// a caller reusing one SoaNode never allocates per node. Searches go
+  /// through rtree/traverse.h instead, which adds the level check.
   Status ReadNodePageSoa(storage::PageId id, SoaNode* out) const {
     return LoadNodeSoa(id, out);
   }
@@ -326,6 +322,11 @@ class RTree {
                        uint16_t subtree_level, uint64_t leaf_entry_count);
 
  private:
+  // The shared read-path engine (rtree/traverse.h) reads root_height_
+  // and calls LoadNodeSoa directly.
+  template <typename Policy>
+  friend class Traversal;
+
   RTree(storage::BufferPool* pool, storage::PageId meta_page,
         storage::PageId root, uint32_t height, uint64_t size,
         const RTreeOptions& options)
@@ -387,34 +388,6 @@ class RTree {
                                    const storage::Rid& rid,
                                    std::vector<std::pair<uint16_t, Entry>>*
                                        orphans);
-
-  Status SearchRec(storage::PageId node_id,
-                   const std::function<bool(const geom::Rect&)>& prune,
-                   const std::function<bool(const geom::Rect&)>& accept,
-                   std::vector<LeafHit>* out, SearchStats* stats,
-                   const SearchOptions& options) const;
-
-  /// Kernel-driven traversal behind SearchIntersects / SearchContainedIn
-  /// / SearchPoint: iterative DFS in entry order (preorder identical to
-  /// SearchRec), SoA decode once per node, one kernel call per node
-  /// instead of one predicate call per entry.
-  enum class WindowMode { kIntersects, kContainedIn };
-  Status SearchWindowFast(const geom::Rect& window, WindowMode mode,
-                          std::vector<LeafHit>* out, SearchStats* stats,
-                          const SearchOptions& options) const;
-  Status SearchPointFast(const geom::Point& p, std::vector<LeafHit>* out,
-                         SearchStats* stats,
-                         const SearchOptions& options) const;
-
-  /// Hint the buffer pool about the nodes the DFS will pop next (the
-  /// tail of `stack`), so a resident child's bytes are warming in
-  /// cache while the current node is scanned. No-op unless built with
-  /// PICTDB_PREFETCH.
-  void PrefetchUpcoming(const std::vector<storage::PageId>& stack) const;
-
-  Status ValidateRec(storage::PageId node_id, uint16_t expected_level,
-                     const geom::Rect* parent_mbr, uint64_t* leaf_entries,
-                     bool is_root) const;
 
   size_t MaxEntries() const;
   size_t MinEntries() const;

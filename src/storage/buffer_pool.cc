@@ -359,31 +359,4 @@ Status BufferPool::FlushAll() {
   return Status::OK();
 }
 
-void BufferPool::PrefetchResident(std::span<const PageId> ids) {
-#ifdef PICTDB_PREFETCH
-  for (const PageId id : ids) {
-    Shard& shard = ShardForPage(id);
-    const char* data = nullptr;
-    {
-      MutexLock lock(&shard.mu);
-      auto it = shard.page_table.find(id);
-      if (it == shard.page_table.end()) continue;
-      Frame& frame = frames_[it->second];
-      if (frame.loading) continue;  // bytes not valid yet
-      data = frame.data.get();
-    }
-    // Outside the shard lock: the frame may be evicted concurrently,
-    // but its allocation is stable for the pool's lifetime, so at
-    // worst the hint warms the wrong page's bytes. Cover the SoA node
-    // header and the front of the rect columns; the sequential SIMD
-    // scan's hardware prefetcher takes over from there.
-    for (size_t off = 0; off < 256; off += 64) {
-      __builtin_prefetch(data + off, /*rw=*/0, /*locality=*/2);
-    }
-  }
-#else
-  (void)ids;
-#endif
-}
-
 }  // namespace pictdb::storage

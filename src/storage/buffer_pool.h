@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <list>
 #include <memory>
-#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -194,15 +193,6 @@ class BufferPool {
 
   /// Write all dirty frames back to disk.
   Status FlushAll();
-
-  /// Issue software prefetches for the frames of any of `ids` that are
-  /// already resident. Purely advisory: misses are skipped (never
-  /// faulted in), a racing eviction only wastes the hint, and the
-  /// frames are not pinned or touched logically (no LRU update, no
-  /// stats). The R-tree descent calls this on the next few stack
-  /// entries so a child's page bytes are in cache by the time its
-  /// SIMD scan starts. Compiles to nothing without PICTDB_PREFETCH.
-  void PrefetchResident(std::span<const PageId> ids);
 
   DiskManager* disk() const { return disk_; }
 

@@ -145,7 +145,7 @@ TEST_F(TreeValidatorTest, CatchesCorruptedInnerMbr) {
     auto guard = env.pool.FetchPage(tree.root());
     PICTDB_CHECK(guard.ok());
     rtree::Node node =
-        rtree::ReadNode(guard->data(), env.pool.page_size());
+        rtree::ReadNode(guard->data(), env.pool.page_size()).value();
     ASSERT_FALSE(node.entries.empty());
     const Point c = node.entries[0].mbr.Center();
     node.entries[0].mbr = Rect::FromPoint(c);
@@ -414,7 +414,7 @@ TEST_F(DiffRunnerTest, CatchesPlantedWrongAnswers) {
     auto guard = env.pool.FetchPage(tree.root());
     PICTDB_CHECK(guard.ok());
     rtree::Node node =
-        rtree::ReadNode(guard->data(), env.pool.page_size());
+        rtree::ReadNode(guard->data(), env.pool.page_size()).value();
     ASSERT_FALSE(node.entries.empty());
     node.entries[0].mbr = Rect::FromPoint(node.entries[0].mbr.Center());
     rtree::WriteNode(node, guard->mutable_data(), env.pool.page_size());

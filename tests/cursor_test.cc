@@ -116,28 +116,62 @@ TEST(SearchCursorTest, ContainedInSemantics) {
   EXPECT_FALSE(end->has_value());
 }
 
-TEST(SearchCursorTest, CustomPredicates) {
+/// Drain `cursor`, returning the hits in stream order.
+std::vector<LeafHit> Drain(SearchCursor* cursor) {
+  std::vector<LeafHit> out;
+  for (;;) {
+    auto next = cursor->Next();
+    PICTDB_CHECK(next.ok());
+    if (!next->has_value()) return out;
+    out.push_back(**next);
+  }
+}
+
+void ExpectSameStream(const std::vector<LeafHit>& streamed,
+                      const std::vector<LeafHit>& one_shot) {
+  ASSERT_EQ(streamed.size(), one_shot.size());
+  for (size_t i = 0; i < streamed.size(); ++i) {
+    EXPECT_EQ(streamed[i].mbr, one_shot[i].mbr) << "position " << i;
+    EXPECT_EQ(streamed[i].rid, one_shot[i].rid) << "position " << i;
+  }
+}
+
+void ExpectSameStats(const SearchStats& a, const SearchStats& b) {
+  EXPECT_EQ(a.nodes_visited, b.nodes_visited);
+  EXPECT_EQ(a.entries_tested, b.entries_tested);
+  EXPECT_EQ(a.results, b.results);
+  EXPECT_EQ(a.skipped_subtrees, b.skipped_subtrees);
+  EXPECT_EQ(a.degraded, b.degraded);
+}
+
+TEST(SearchCursorTest, StreamsExactlyTheOneShotVectors) {
   Env env;
-  Random rng(19);
-  const auto pts = workload::UniformPoints(&rng, 100,
+  Random rng(23);
+  const auto pts = workload::UniformPoints(&rng, 2000,
                                            workload::PaperFrame());
   RTree tree = MakeTree(&env, pts);
-  // Accept everything left of x=300 (prune uses MBR lo).
-  SearchCursor cursor(
-      &tree, [](const Rect& r) { return r.lo.x < 300; },
-      [](const Rect& r) { return r.hi.x < 300; });
-  size_t streamed = 0;
-  for (;;) {
-    auto next = cursor.Next();
-    ASSERT_TRUE(next.ok());
-    if (!next->has_value()) break;
-    ++streamed;
+  size_t nonempty = 0;
+  for (int i = 0; i < 20; ++i) {
+    const Rect window = Rect::FromCenterHalfExtent(
+        rng.UniformDouble(0, 1000), rng.UniformDouble(5, 150),
+        rng.UniformDouble(0, 1000), rng.UniformDouble(5, 150));
+
+    SearchStats one_shot_stats;
+    auto one_shot = tree.SearchIntersects(window, &one_shot_stats);
+    ASSERT_TRUE(one_shot.ok());
+    SearchCursor cursor = SearchCursor::Intersects(&tree, window);
+    ExpectSameStream(Drain(&cursor), *one_shot);
+    ExpectSameStats(cursor.stats(), one_shot_stats);
+    if (!one_shot->empty()) ++nonempty;
+
+    SearchStats contained_stats;
+    auto contained = tree.SearchContainedIn(window, &contained_stats);
+    ASSERT_TRUE(contained.ok());
+    SearchCursor contained_cursor = SearchCursor::ContainedIn(&tree, window);
+    ExpectSameStream(Drain(&contained_cursor), *contained);
+    ExpectSameStats(contained_cursor.stats(), contained_stats);
   }
-  size_t expected = 0;
-  for (const Point& p : pts) {
-    if (p.x < 300) ++expected;
-  }
-  EXPECT_EQ(streamed, expected);
+  EXPECT_GT(nonempty, 10u) << "vacuous stream comparison";
 }
 
 }  // namespace

@@ -14,6 +14,7 @@
 #include <set>
 #include <vector>
 
+#include "check/invariants.h"
 #include "common/random.h"
 #include "pack/pack.h"
 #include "pack/repack.h"
@@ -367,6 +368,106 @@ TEST_F(PermanentFaultTest, ScrubAndRepackFromSalvageKeepsReadableEntries) {
   // Everything salvaged is a true pre-corruption entry.
   const std::set<PageId> oracle = OracleRids(points_, everything_);
   for (const PageId rid : HitRids(*hits)) EXPECT_TRUE(oracle.count(rid));
+}
+
+// --- CRC-valid but structurally corrupt nodes ------------------------------
+//
+// The page checksum cannot catch a node written wrong and then stamped:
+// the node decode and the traversal's level check must. Every search
+// runs under a deadline, so a regression fails (or aborts) instead of
+// hanging.
+
+class StructuralCorruptionTest : public ::testing::Test {
+ protected:
+  StructuralCorruptionTest() : disk_(512), pool_(&disk_, 1024) {
+    tree_ = BuildTree(&pool_, 2000, &points_);
+    PICTDB_CHECK(tree_->Height() >= 3);
+    auto root = tree_->ReadNodePage(tree_->root());
+    PICTDB_CHECK(root.ok());
+    child_ = root->entries.front().AsChild();  // an interior node
+  }
+
+  /// Rewrite the page of `id` through the pool (restamping its CRC).
+  template <typename Edit>
+  void RewritePage(PageId id, const Edit& edit) {
+    auto guard = pool_.FetchPage(id);
+    PICTDB_CHECK(guard.ok());
+    edit(guard->mutable_data());
+  }
+
+  static SearchOptions WithDeadline() {
+    SearchOptions options;
+    options.deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    return options;
+  }
+
+  /// Strict search fails with Corruption; degraded search returns a
+  /// flagged, strict subset of the answer and quarantines `bad`.
+  void ExpectCorruptionThenDegraded(PageId bad) {
+    auto strict = tree_->SearchIntersects(everything_, nullptr,
+                                          WithDeadline());
+    ASSERT_FALSE(strict.ok());
+    EXPECT_TRUE(strict.status().IsCorruption()) << strict.status().ToString();
+
+    storage::PageQuarantine quarantine;
+    SearchOptions options = WithDeadline();
+    options.degraded_ok = true;
+    options.quarantine = &quarantine;
+    rtree::SearchStats stats;
+    auto partial = tree_->SearchIntersects(everything_, &stats, options);
+    ASSERT_TRUE(partial.ok()) << partial.status().ToString();
+    EXPECT_TRUE(stats.degraded);
+    EXPECT_GE(stats.skipped_subtrees, 1u);
+    EXPECT_TRUE(quarantine.Contains(bad));
+    EXPECT_GT(partial->size(), 0u);
+    EXPECT_LT(partial->size(), points_.size());
+  }
+
+  InMemoryDiskManager disk_;
+  BufferPool pool_;
+  std::unique_ptr<RTree> tree_;
+  std::vector<Point> points_;
+  PageId child_ = storage::kInvalidPageId;
+  const Rect everything_ = Rect{{-1e9, -1e9}, {1e9, 1e9}};
+};
+
+TEST_F(StructuralCorruptionTest, OverfullEntryCountIsCorruption) {
+  RewritePage(child_, [](char* page) {
+    const uint16_t count = 0xFFFF;  // far beyond NodePageCapacity
+    std::memcpy(page + 2, &count, sizeof(count));
+  });
+  ExpectCorruptionThenDegraded(child_);
+
+  auto node = tree_->ReadNodePage(child_);
+  ASSERT_FALSE(node.ok());
+  EXPECT_TRUE(node.status().IsCorruption());
+
+  // The validator reports the page instead of aborting the process.
+  const check::ValidationReport report = check::TreeValidator().Check(*tree_);
+  EXPECT_TRUE(std::any_of(report.violations.begin(), report.violations.end(),
+                          [&](const check::Violation& v) {
+                            return v.kind ==
+                                       check::ViolationKind::kUnreadablePage &&
+                                   v.page == child_;
+                          }));
+}
+
+TEST_F(StructuralCorruptionTest, ChildPointerToAncestorIsCorruption) {
+  // The root's first child now lists the root as its own first child:
+  // without the level check every descent loops through the cycle.
+  const PageId root = tree_->root();
+  RewritePage(child_, [&](char* page) {
+    auto node = rtree::ReadNode(page, pool_.page_size());
+    PICTDB_CHECK(node.ok());
+    node->entries.front().payload = rtree::Entry::PayloadFromChild(root);
+    rtree::WriteNode(*node, page, pool_.page_size());
+  });
+  ExpectCorruptionThenDegraded(root);
+
+  auto nodes = tree_->CountNodes();
+  ASSERT_FALSE(nodes.ok());
+  EXPECT_TRUE(nodes.status().IsCorruption());
 }
 
 // --- Deadlines and cancellation --------------------------------------------

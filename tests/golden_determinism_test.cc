@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "common/random.h"
+#include "geom/geometry.h"
 #include "pack/pack.h"
 #include "pack/repack.h"
 #include "pack/str.h"
+#include "rtree/join.h"
+#include "rtree/knn.h"
 #include "rtree/node.h"
 #include "rtree/rtree.h"
 #include "simd/dispatch.h"
@@ -236,6 +240,270 @@ TEST(GoldenDeterminismTest, SearchPathsDoNotRecomputeNodeMbrs) {
   // The kernel-driven window searches never need a node-level MBR at
   // all: the per-entry lanes carry everything.
   EXPECT_EQ(rtree::MbrComputeCountForTesting(), before);
+}
+
+// --- Golden hit sequences --------------------------------------------------
+//
+// Every read path folds its exact output sequence (order included) and
+// its accounting into a 64-bit FNV-1a digest. The expected values are
+// fixed constants: any change to traversal order, tie-breaking in kNN,
+// the (left, right) order of join callbacks or the stats a path reports
+// shows up as a digest mismatch.
+
+class SequenceDigest {
+ public:
+  void Add(uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      hash_ = (hash_ ^ ((v >> (8 * i)) & 0xFF)) * 0x100000001b3ull;
+    }
+  }
+  void Add(double d) {
+    uint64_t bits;
+    std::memcpy(&bits, &d, sizeof(bits));
+    Add(bits);
+  }
+  void Add(const geom::Rect& r) {
+    Add(r.lo.x);
+    Add(r.lo.y);
+    Add(r.hi.x);
+    Add(r.hi.y);
+  }
+  void Add(const rtree::LeafHit& hit) {
+    Add(hit.mbr);
+    Add(static_cast<uint64_t>(hit.rid.page_id));
+    Add(static_cast<uint64_t>(hit.rid.slot));
+  }
+  void Add(const std::vector<rtree::LeafHit>& hits) {
+    Add(static_cast<uint64_t>(hits.size()));
+    for (const rtree::LeafHit& hit : hits) Add(hit);
+  }
+  void AddStats(const rtree::SearchStats& s, bool with_results = true) {
+    Add(s.nodes_visited);
+    Add(s.entries_tested);
+    if (with_results) Add(s.results);
+    Add(s.skipped_subtrees);
+    Add(static_cast<uint64_t>(s.degraded));
+  }
+  uint64_t value() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
+/// Small rectangles (extended objects, so point and contained-in
+/// queries have real answers), rid i = {page i, slot i % 7}.
+std::vector<Entry> SeededRects(uint64_t seed, size_t n, double max_extent) {
+  Random rng(seed);
+  const geom::Rect frame = workload::PaperFrame();
+  std::vector<Entry> entries;
+  for (size_t i = 0; i < n; ++i) {
+    Entry e;
+    e.mbr = geom::Rect::FromCenterHalfExtent(
+        rng.UniformDouble(frame.lo.x, frame.hi.x),
+        rng.UniformDouble(0.0, max_extent),
+        rng.UniformDouble(frame.lo.y, frame.hi.y),
+        rng.UniformDouble(0.0, max_extent));
+    e.payload = Entry::PayloadFromRid(
+        Rid{static_cast<PageId>(i), static_cast<uint16_t>(i % 7)});
+    entries.push_back(e);
+  }
+  return entries;
+}
+
+std::vector<geom::Point> SeededPoints(uint64_t seed, size_t n) {
+  Random rng(seed);
+  const geom::Rect frame = workload::PaperFrame();
+  std::vector<geom::Point> points;
+  for (size_t i = 0; i < n; ++i) {
+    points.push_back(geom::Point{rng.UniformDouble(frame.lo.x, frame.hi.x),
+                                 rng.UniformDouble(frame.lo.y, frame.hi.y)});
+  }
+  return points;
+}
+
+class GoldenSequenceTest : public ::testing::Test {
+ protected:
+  GoldenSequenceTest() : disk_(512), pool_(&disk_, 8192) {}
+
+  void SetUp() override {
+    objects_ = BuildPacked(SeededRects(91, 3000, 8.0));
+    overlay_ = BuildPacked(SeededRects(92, 150, 40.0));
+    ASSERT_GT(objects_->Height(), overlay_->Height())
+        << "join digests need trees of unequal height";
+  }
+
+  std::unique_ptr<RTree> BuildPacked(const std::vector<Entry>& entries) {
+    auto created = RTree::Create(&pool_);
+    PICTDB_CHECK(created.ok());
+    auto tree = std::make_unique<RTree>(std::move(created).value());
+    PICTDB_CHECK_OK(PackNearestNeighbor(tree.get(), entries));
+    return tree;
+  }
+
+  /// Window queries reuse SeededWindows; a second set is centred on
+  /// stored objects so contained-in and point queries are never vacuous.
+  std::vector<geom::Rect> Windows() const {
+    return SeededWindows(93, 40);
+  }
+  std::vector<geom::Point> Points() const {
+    std::vector<geom::Point> points = SeededPoints(94, 20);
+    const std::vector<Entry> stored = SeededRects(91, 3000, 8.0);
+    for (size_t i = 0; i < 20; ++i) {
+      points.push_back(stored[i * 131].mbr.Center());
+    }
+    return points;
+  }
+
+  void ExpectDigest(const char* path, const SequenceDigest& d,
+                    uint64_t expected) {
+    EXPECT_EQ(d.value(), expected)
+        << path << " digest changed: got 0x" << std::hex << d.value();
+  }
+
+  storage::InMemoryDiskManager disk_;
+  storage::BufferPool pool_;
+  std::unique_ptr<RTree> objects_;
+  std::unique_ptr<RTree> overlay_;
+};
+
+TEST_F(GoldenSequenceTest, WindowIntersects) {
+  SequenceDigest d;
+  for (const geom::Rect& w : Windows()) {
+    rtree::SearchStats stats;
+    auto hits = objects_->SearchIntersects(w, &stats);
+    ASSERT_TRUE(hits.ok());
+    d.Add(*hits);
+    d.AddStats(stats);
+  }
+  ExpectDigest("intersects", d, 0xfca7301fed32fc51ull);
+}
+
+TEST_F(GoldenSequenceTest, WindowContainedIn) {
+  SequenceDigest d;
+  for (const geom::Rect& w : Windows()) {
+    rtree::SearchStats stats;
+    auto hits = objects_->SearchContainedIn(w, &stats);
+    ASSERT_TRUE(hits.ok());
+    d.Add(*hits);
+    d.AddStats(stats);
+  }
+  ExpectDigest("contained-in", d, 0x892235860fd25cd3ull);
+}
+
+TEST_F(GoldenSequenceTest, Point) {
+  SequenceDigest d;
+  size_t nonempty = 0;
+  for (const geom::Point& p : Points()) {
+    rtree::SearchStats stats;
+    auto hits = objects_->SearchPoint(p, &stats);
+    ASSERT_TRUE(hits.ok());
+    if (!hits->empty()) ++nonempty;
+    d.Add(*hits);
+    d.AddStats(stats);
+  }
+  EXPECT_GE(nonempty, 20u);
+  ExpectDigest("point", d, 0xccd56e2012d51914ull);
+}
+
+TEST_F(GoldenSequenceTest, Batch) {
+  const std::vector<geom::Rect> windows = Windows();
+  SequenceDigest d;
+  for (const bool contained : {false, true}) {
+    rtree::SearchStats stats;
+    auto batch = objects_->SearchBatch(windows, contained, &stats);
+    ASSERT_TRUE(batch.ok());
+    for (const rtree::BatchHits& b : *batch) {
+      d.Add(b.hits);
+      d.Add(static_cast<uint64_t>(b.degraded));
+    }
+    d.AddStats(stats);
+  }
+  ExpectDigest("batch", d, 0xf6c41515b3cfb9f2ull);
+}
+
+TEST_F(GoldenSequenceTest, Nearest) {
+  SequenceDigest d;
+  for (const geom::Point& p : Points()) {
+    rtree::SearchStats stats;
+    auto nn = rtree::SearchNearest(*objects_, p, 7, &stats);
+    ASSERT_TRUE(nn.ok());
+    ASSERT_EQ(nn->size(), 7u);
+    for (const rtree::Neighbor& n : *nn) {
+      d.Add(n.hit);
+      d.Add(n.distance);
+    }
+    d.AddStats(stats);
+  }
+  ExpectDigest("knn", d, 0x32e72345e4c4f6feull);
+}
+
+TEST_F(GoldenSequenceTest, NearestExact) {
+  // Each object is the diagonal of its MBR, so exact distances differ
+  // from MINDIST and refinement reorders candidates.
+  const std::vector<Entry> stored = SeededRects(91, 3000, 8.0);
+  auto resolver = [&stored](const Rid& rid) -> StatusOr<geom::Geometry> {
+    const geom::Rect& mbr = stored[rid.page_id].mbr;
+    return geom::Geometry(geom::Segment{mbr.lo, mbr.hi});
+  };
+  SequenceDigest d;
+  for (const geom::Point& p : SeededPoints(95, 8)) {
+    rtree::SearchStats stats;
+    auto nn = rtree::SearchNearestExact(*objects_, p, 5, resolver, &stats);
+    ASSERT_TRUE(nn.ok());
+    ASSERT_EQ(nn->size(), 5u);
+    for (const rtree::Neighbor& n : *nn) {
+      d.Add(n.hit);
+      d.Add(n.distance);
+    }
+    // `results` is left out: it equals the neighbor count, which the
+    // sequence above already covers.
+    d.AddStats(stats, /*with_results=*/false);
+  }
+  ExpectDigest("exact-knn", d, 0x52265573062d8cf3ull);
+}
+
+TEST_F(GoldenSequenceTest, Join) {
+  SequenceDigest d;
+  for (const bool objects_left : {true, false}) {
+    const RTree& left = objects_left ? *objects_ : *overlay_;
+    const RTree& right = objects_left ? *overlay_ : *objects_;
+    rtree::JoinStats stats;
+    uint64_t pairs = 0;
+    ASSERT_TRUE(rtree::SpatialJoin(left, right,
+                                   [&](const rtree::LeafHit& l,
+                                       const rtree::LeafHit& r) {
+                                     d.Add(l);
+                                     d.Add(r);
+                                     ++pairs;
+                                   },
+                                   &stats)
+                    .ok());
+    EXPECT_GT(pairs, 0u);
+    d.Add(stats.nodes_visited);
+    d.Add(stats.pairs_tested);
+    d.Add(stats.results);
+    d.Add(stats.skipped_subtrees);
+    d.Add(static_cast<uint64_t>(stats.degraded));
+  }
+  ExpectDigest("join", d, 0x1a50c45bc1b46d05ull);
+}
+
+TEST_F(GoldenSequenceTest, WholeTreeWalks) {
+  SequenceDigest d;
+  auto all = objects_->CollectAllEntries();
+  ASSERT_TRUE(all.ok());
+  ASSERT_EQ(all->size(), 3000u);
+  d.Add(*all);
+  auto nodes = objects_->CountNodes();
+  ASSERT_TRUE(nodes.ok());
+  d.Add(*nodes);
+  for (uint16_t level = 0; level < objects_->Height(); ++level) {
+    auto mbrs = objects_->CollectNodeMbrsAtLevel(level);
+    ASSERT_TRUE(mbrs.ok());
+    d.Add(static_cast<uint64_t>(mbrs->size()));
+    for (const geom::Rect& r : *mbrs) d.Add(r);
+  }
+  ExpectDigest("walks", d, 0x79a1257909de50ffull);
 }
 
 }  // namespace

@@ -168,9 +168,11 @@ TEST(KnnExactTest, RefinesBeyondMbrOrdering) {
   auto resolver = [&geometries](const Rid& rid) -> StatusOr<geom::Geometry> {
     return geometries[rid.page_id];
   };
-  auto exact = SearchNearestExact(*tree, query, 2, resolver);
+  SearchStats stats;
+  auto exact = SearchNearestExact(*tree, query, 2, resolver, &stats);
   ASSERT_TRUE(exact.ok());
   ASSERT_EQ(exact->size(), 2u);
+  EXPECT_EQ(stats.results, 2u);  // reported even when stopping at k
   EXPECT_EQ((*exact)[0].hit.rid.page_id, 1u);  // B first
   EXPECT_NEAR((*exact)[0].distance,
               geom::DistanceTo(geometries[1], query), 1e-12);

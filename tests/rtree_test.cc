@@ -52,7 +52,7 @@ TEST(NodeTest, RoundTrip) {
   }
   std::vector<char> page(512, 0);
   WriteNode(node, page.data(), 512);
-  const Node loaded = ReadNode(page.data(), 512);
+  const Node loaded = ReadNode(page.data(), 512).value();
   EXPECT_EQ(loaded.level, 3);
   ASSERT_EQ(loaded.entries.size(), 5u);
   for (int i = 0; i < 5; ++i) {

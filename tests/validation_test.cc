@@ -143,13 +143,17 @@ TEST(CheckDeathTest, PassingChecksAreSilent) {
   SUCCEED();
 }
 
-TEST(CheckDeathTest, CorruptNodePageAborts) {
-  // A node page with an impossible entry count must trip the decode
-  // CHECK rather than read out of bounds.
+TEST(NodeDecodeTest, CorruptCountIsCorruption) {
+  // A node page with an impossible entry count must fail the decode
+  // with Corruption rather than read out of bounds (or abort).
   std::vector<char> page(512, 0);
   const uint16_t bogus_count = 9999;
   std::memcpy(page.data() + 2, &bogus_count, 2);
-  EXPECT_DEATH(ReadNode(page.data(), 512), "corrupt R-tree node");
+  auto node = ReadNode(page.data(), 512);
+  ASSERT_FALSE(node.ok());
+  EXPECT_TRUE(node.status().IsCorruption()) << node.status().ToString();
+  SoaNode soa;
+  EXPECT_TRUE(ReadNodeSoa(page.data(), 512, &soa).IsCorruption());
 }
 
 }  // namespace
