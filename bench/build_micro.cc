@@ -5,12 +5,13 @@
 // near-linear; sort-based loaders are n log n; dynamic INSERT pays per
 // object).
 //
-// `build_micro --json [objects] [--budget-mb=N]` bypasses google-benchmark
-// and runs the out-of-core loader end to end: a streaming point source is
-// external-sorted under an N-MiB budget (default 64), spill runs are
-// merged straight into packed leaves on a file-backed tree, and a single
-// JSON object reports spill/merge stats, wall clock, peak RSS, and the
-// TreeValidator verdict. CI's bulk-load-scale job parses this dump.
+// `build_micro --json [objects] [--budget-mb=N] [--packer=lowx|hilbert|str]`
+// bypasses google-benchmark and runs the out-of-core loader end to end: a
+// streaming point source is external-sorted under an N-MiB budget
+// (default 64), spill runs are merged straight into the packer's node
+// cutter on a file-backed tree, and a single JSON object reports
+// spill/merge stats, wall clock, peak RSS, and the TreeValidator verdict.
+// CI's bulk-load-scale job parses this dump.
 
 #include <benchmark/benchmark.h>
 
@@ -20,6 +21,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -27,9 +29,7 @@
 #include "check/invariants.h"
 #include "common/random.h"
 #include "pack/external.h"
-#include "pack/hilbert.h"
 #include "pack/pack.h"
-#include "pack/str.h"
 #include "workload/generators.h"
 
 namespace {
@@ -39,6 +39,22 @@ using pictdb::bench::FakeRid;
 using pictdb::bench::PointEntries;
 using pictdb::bench::TreeEnv;
 using pictdb::geom::Rect;
+using pictdb::pack::PackOptions;
+using pictdb::pack::PackStrategy;
+using pictdb::pack::SortCriterion;
+
+/// The packers by name: the paper's PACK ("nn"), sort-chunk by ascending
+/// x ("lowx") or by Hilbert value ("hilbert"), and STR ("str").
+std::optional<PackOptions> PackerNamed(std::string_view name) {
+  if (name == "nn") return PackOptions{};
+  if (name == "lowx") return PackOptions{.strategy = PackStrategy::kSortChunk};
+  if (name == "hilbert") {
+    return PackOptions{.criterion = SortCriterion::kHilbert,
+                       .strategy = PackStrategy::kSortChunk};
+  }
+  if (name == "str") return PackOptions{.strategy = PackStrategy::kStr};
+  return std::nullopt;
+}
 
 std::vector<pictdb::geom::Point> Points(size_t n) {
   Random rng(9000 + n);
@@ -59,45 +75,28 @@ void BM_BuildInsert(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
 }
 
-template <pictdb::Status (*Loader)(pictdb::rtree::RTree*,
-                                   std::vector<pictdb::rtree::Entry>)>
-void BM_BuildBulk(benchmark::State& state) {
+void BM_BuildBulk(benchmark::State& state, const char* packer) {
   const size_t n = static_cast<size_t>(state.range(0));
   const auto pts = Points(n);
+  const PackOptions options = PackerNamed(packer).value();
   for (auto _ : state) {
     TreeEnv env = TreeEnv::Make({}, 4096);
-    PICTDB_CHECK_OK(Loader(env.tree.get(), PointEntries(pts)));
+    PICTDB_CHECK_OK(pictdb::pack::Pack(env.tree.get(), PointEntries(pts),
+                                       options));
     benchmark::DoNotOptimize(env.tree->Size());
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
 }
 
-pictdb::Status LoadNN(pictdb::rtree::RTree* tree,
-                      std::vector<pictdb::rtree::Entry> items) {
-  return pictdb::pack::PackNearestNeighbor(tree, std::move(items));
-}
-pictdb::Status LoadLowX(pictdb::rtree::RTree* tree,
-                        std::vector<pictdb::rtree::Entry> items) {
-  return pictdb::pack::PackSortChunk(tree, std::move(items));
-}
-pictdb::Status LoadStr(pictdb::rtree::RTree* tree,
-                       std::vector<pictdb::rtree::Entry> items) {
-  return pictdb::pack::PackStr(tree, std::move(items));
-}
-pictdb::Status LoadHilbert(pictdb::rtree::RTree* tree,
-                           std::vector<pictdb::rtree::Entry> items) {
-  return pictdb::pack::PackHilbert(tree, std::move(items));
-}
-
 BENCHMARK(BM_BuildInsert)->Arg(10000)->Arg(50000)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_BuildBulk<LoadNN>)->Name("BM_BuildPackNN")
+BENCHMARK_CAPTURE(BM_BuildBulk, nn, "nn")->Name("BM_BuildPackNN")
     ->Arg(10000)->Arg(50000)->Arg(200000)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_BuildBulk<LoadLowX>)->Name("BM_BuildLowX")
+BENCHMARK_CAPTURE(BM_BuildBulk, lowx, "lowx")->Name("BM_BuildLowX")
     ->Arg(10000)->Arg(50000)->Arg(200000)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_BuildBulk<LoadStr>)->Name("BM_BuildSTR")
+BENCHMARK_CAPTURE(BM_BuildBulk, str, "str")->Name("BM_BuildSTR")
     ->Arg(10000)->Arg(50000)->Arg(200000)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_BuildBulk<LoadHilbert>)->Name("BM_BuildHilbert")
+BENCHMARK_CAPTURE(BM_BuildBulk, hilbert, "hilbert")->Name("BM_BuildHilbert")
     ->Arg(10000)->Arg(50000)->Arg(200000)->Unit(benchmark::kMillisecond);
 
 // --- `--json` mode: out-of-core bulk load at scale ------------------------
@@ -147,7 +146,8 @@ std::string ScratchDir() {
   return tmp != nullptr && *tmp != '\0' ? std::string(tmp) : std::string("/tmp");
 }
 
-int RunJsonMode(size_t objects, size_t budget_mb) {
+int RunJsonMode(size_t objects, size_t budget_mb, std::string_view packer,
+                PackOptions options) {
   const std::string dir = ScratchDir();
   const std::string tree_path =
       dir + "/pictdb-build-micro-" + std::to_string(::getpid()) + ".tree";
@@ -165,9 +165,6 @@ int RunJsonMode(size_t objects, size_t budget_mb) {
     pictdb::rtree::RTree tree = std::move(created).value();
 
     UniformPointSource source(/*seed=*/1985, objects);
-    pictdb::pack::PackOptions options;
-    options.strategy = pictdb::pack::PackStrategy::kSortChunk;
-    options.criterion = pictdb::pack::SortCriterion::kAscendingX;
     options.memory_budget_bytes = budget_mb << 20;
     options.spill_dir = dir;
     pictdb::pack::ExternalPackStats stats;
@@ -190,6 +187,7 @@ int RunJsonMode(size_t objects, size_t budget_mb) {
     const int64_t peak_rss = PeakRssBytes();
     std::printf(
         "{\n"
+        "  \"packer\": \"%.*s\",\n"
         "  \"objects\": %zu,\n"
         "  \"budget_bytes\": %zu,\n"
         "  \"run_capacity_entries\": %llu,\n"
@@ -205,7 +203,8 @@ int RunJsonMode(size_t objects, size_t budget_mb) {
         "  \"peak_rss_mib\": %.1f,\n"
         "  \"validator_ok\": %s\n"
         "}\n",
-        objects, static_cast<size_t>(budget_mb << 20),
+        static_cast<int>(packer.size()), packer.data(), objects,
+        static_cast<size_t>(budget_mb << 20),
         static_cast<unsigned long long>(stats.run_capacity_entries),
         static_cast<unsigned long long>(stats.spill_runs),
         static_cast<unsigned long long>(stats.merge_passes),
@@ -228,6 +227,7 @@ int main(int argc, char** argv) {
   size_t objects = 2000000;
   size_t budget_mb = 64;
   bool json = false;
+  std::string_view packer = "lowx";
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
     if (arg == "--json") {
@@ -235,11 +235,20 @@ int main(int argc, char** argv) {
     } else if (arg.starts_with("--budget-mb=")) {
       budget_mb = static_cast<size_t>(
           std::strtoull(arg.substr(12).data(), nullptr, 10));
+    } else if (arg.starts_with("--packer=")) {
+      packer = arg.substr(9);
     } else if (json && !arg.starts_with("--")) {
       objects = static_cast<size_t>(std::strtoull(argv[i], nullptr, 10));
     }
   }
-  if (json) return RunJsonMode(objects, budget_mb);
+  if (json) {
+    const std::optional<PackOptions> options = PackerNamed(packer);
+    if (!options.has_value() || packer == "nn") {
+      std::fprintf(stderr, "--packer must be lowx, hilbert or str\n");
+      return 2;
+    }
+    return RunJsonMode(objects, budget_mb, packer, *options);
+  }
 
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;

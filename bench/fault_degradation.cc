@@ -61,7 +61,7 @@ RunResult RunAtFaultRate(double fault_rate,
   }
   auto tree = rtree::RTree::Create(&pool);
   PICTDB_CHECK(tree.ok());
-  PICTDB_CHECK_OK(pack::PackNearestNeighbor(
+  PICTDB_CHECK_OK(pack::Pack(
       &tree.value(), pack::MakeLeafEntries(points, rids)));
 
   service::ServiceOptions sopts;

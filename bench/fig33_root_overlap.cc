@@ -37,21 +37,36 @@ int main() {
   // Bad tree: group entries round-robin so every node at every level
   // draws members from all over the picture — every MBR spans the whole
   // frame, which is exactly the root-overlap pathology of Fig 3.3.
+  // Written node by node, since no packer would group this badly.
   TreeEnv bad = TreeEnv::Make(opts, 256);
-  PICTDB_CHECK_OK(pictdb::pack::BulkLoad(
-      bad.tree.get(), PointEntries(pts),
-      [](const std::vector<Entry>& items, size_t max) {
-        const size_t groups_count = (items.size() + max - 1) / max;
-        std::vector<std::vector<Entry>> groups(groups_count);
-        for (size_t i = 0; i < items.size(); ++i) {
-          groups[i % groups_count].push_back(items[i]);
-        }
-        return groups;
-      }));
+  std::vector<Entry> items = PointEntries(pts);
+  uint16_t level = 0;
+  while (items.size() > opts.max_entries) {
+    const size_t groups_count =
+        (items.size() + opts.max_entries - 1) / opts.max_entries;
+    std::vector<std::vector<Entry>> groups(groups_count);
+    for (size_t i = 0; i < items.size(); ++i) {
+      groups[i % groups_count].push_back(items[i]);
+    }
+    std::vector<Entry> parents;
+    for (const std::vector<Entry>& group : groups) {
+      auto page = bad.tree->BulkWriteNode(level, group);
+      PICTDB_CHECK(page.ok());
+      Entry parent;
+      for (const Entry& e : group) parent.mbr.ExpandToInclude(e.mbr);
+      parent.payload = Entry::PayloadFromChild(*page);
+      parents.push_back(parent);
+    }
+    items = std::move(parents);
+    ++level;
+  }
+  auto root = bad.tree->BulkWriteNode(level, items);
+  PICTDB_CHECK(root.ok());
+  PICTDB_CHECK_OK(bad.tree->BulkSetRoot(*root, level + 1u, pts.size()));
 
   TreeEnv good = TreeEnv::Make(opts, 256);
   PICTDB_CHECK_OK(
-      pictdb::pack::PackNearestNeighbor(good.tree.get(), PointEntries(pts)));
+      pictdb::pack::Pack(good.tree.get(), PointEntries(pts)));
 
   const Rect window = Rect::FromCenterHalfExtent(500, 50, 500, 50);
   pictdb::rtree::SearchStats bad_stats, good_stats;

@@ -63,7 +63,7 @@ int main() {
   Report("Guttman INSERT, middle cluster last (Fig 3.4c)", *dynamic.tree);
 
   TreeEnv packed = TreeEnv::Make(opts, 256);
-  PICTDB_CHECK_OK(pictdb::pack::PackNearestNeighbor(packed.tree.get(),
+  PICTDB_CHECK_OK(pictdb::pack::Pack(packed.tree.get(),
                                                     PointEntries(arrival)));
   Report("PACK over the full set (Fig 3.4b)", *packed.tree);
 

@@ -74,8 +74,7 @@ int main() {
   }
 
   // What PACK actually produces on this input.
-  const auto packed = pictdb::pack::GroupNearestNeighbor(
-      items, 2, pictdb::pack::SortCriterion::kAscendingX);
+  const auto packed = pictdb::pack::Group(items, 2, {});
 
   std::printf("%-28s %10s %10s\n", "grouping", "coverage", "overlap");
   std::printf("%-28s %10.1f %10.1f\n", "row pairs      (Fig 3.7a)",

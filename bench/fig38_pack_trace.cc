@@ -37,7 +37,7 @@ int main() {
   opts.max_entries = 4;
   opts.min_entries = 2;
   TreeEnv env = TreeEnv::Make(opts, 256);
-  PICTDB_CHECK_OK(pictdb::pack::PackNearestNeighbor(
+  PICTDB_CHECK_OK(pictdb::pack::Pack(
       env.tree.get(), pictdb::pack::MakeLeafEntries(pts, rids)));
 
   std::printf("PACK trace over %zu US cities (branching factor 4):\n",

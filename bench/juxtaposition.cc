@@ -8,7 +8,6 @@
 #include "bench_util.h"
 #include "common/random.h"
 #include "pack/pack.h"
-#include "pack/str.h"
 #include "psql/executor.h"
 #include "rel/catalog.h"
 #include "rtree/join.h"
@@ -56,10 +55,11 @@ int main() {
     pictdb::rtree::RTreeOptions opts;  // page-derived branching
     TreeEnv left = TreeEnv::Make(opts, 4096);
     TreeEnv right = TreeEnv::Make(opts, 4096);
+    const pictdb::pack::PackOptions str{
+        .strategy = pictdb::pack::PackStrategy::kStr};
+    PICTDB_CHECK_OK(pictdb::pack::Pack(left.tree.get(), RectEntries(lhs), str));
     PICTDB_CHECK_OK(
-        pictdb::pack::PackStr(left.tree.get(), RectEntries(lhs)));
-    PICTDB_CHECK_OK(
-        pictdb::pack::PackStr(right.tree.get(), RectEntries(rhs)));
+        pictdb::pack::Pack(right.tree.get(), RectEntries(rhs), str));
 
     size_t tree_results = 0;
     pictdb::rtree::JoinStats tree_stats;

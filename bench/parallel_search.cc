@@ -84,7 +84,8 @@ void Main() {
     }
     pack::PackOptions pack_options;
     pack_options.criterion = pack::SortCriterion::kHilbert;
-    PICTDB_CHECK_OK(pack::PackSortChunk(
+    pack_options.strategy = pack::PackStrategy::kSortChunk;
+    PICTDB_CHECK_OK(pack::Pack(
         &tree.value(), pack::MakeLeafEntries(points, rids), pack_options));
     meta_page = tree.value().meta_page();
     PICTDB_CHECK_OK(build_pool.FlushAll());

@@ -212,10 +212,11 @@ Status BuildTrees(storage::BufferPool* pool, const Flags& flags,
   for (size_t i = 0; i < points.size(); ++i) {
     rids[i] = storage::Rid{static_cast<storage::PageId>(i + 1), 0};
   }
+  const pack::PackOptions hilbert{.criterion = pack::SortCriterion::kHilbert,
+                                 .strategy = pack::PackStrategy::kSortChunk};
   PICTDB_ASSIGN_OR_RETURN(rtree::RTree t, rtree::RTree::Create(pool));
   PICTDB_RETURN_IF_ERROR(
-      pack::PackSortChunk(&t, pack::MakeLeafEntries(points, rids),
-                          pack::PackOptions{pack::SortCriterion::kHilbert}));
+      pack::Pack(&t, pack::MakeLeafEntries(points, rids), hilbert));
   tree->emplace(std::move(t));
 
   Random overlay_rng(flags.seed + 1);
@@ -231,8 +232,7 @@ Status BuildTrees(storage::BufferPool* pool, const Flags& flags,
   }
   PICTDB_ASSIGN_OR_RETURN(rtree::RTree o, rtree::RTree::Create(pool));
   PICTDB_RETURN_IF_ERROR(
-      pack::PackSortChunk(&o, pack::MakeLeafEntries(rects, overlay_rids),
-                          pack::PackOptions{pack::SortCriterion::kHilbert}));
+      pack::Pack(&o, pack::MakeLeafEntries(rects, overlay_rids), hilbert));
   overlay->emplace(std::move(o));
   return Status::OK();
 }

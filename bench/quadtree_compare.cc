@@ -59,7 +59,7 @@ int main() {
 
       TreeEnv rt = TreeEnv::Make({}, 4096);
       PICTDB_CHECK_OK(
-          pictdb::pack::PackNearestNeighbor(rt.tree.get(),
+          pictdb::pack::Pack(rt.tree.get(),
                                             RectEntries(objects)));
       pictdb::quadtree::QuadTree qt(frame, 12, 16);
       for (size_t i = 0; i < objects.size(); ++i) {

@@ -21,9 +21,7 @@
 
 #include "bench_util.h"
 #include "common/random.h"
-#include "pack/hilbert.h"
 #include "pack/pack.h"
-#include "pack/str.h"
 #include "simd/dispatch.h"
 #include "workload/generators.h"
 #include "workload/queries.h"
@@ -36,6 +34,8 @@ using pictdb::bench::PointEntries;
 using pictdb::bench::TreeEnv;
 using pictdb::geom::Point;
 using pictdb::geom::Rect;
+using pictdb::pack::PackOptions;
+using pictdb::pack::PackStrategy;
 
 enum BuilderId : int64_t {
   kInsert = 0,
@@ -51,30 +51,22 @@ TreeEnv BuildTree(int64_t builder, size_t n) {
       pictdb::workload::UniformPoints(&rng, n, pictdb::workload::PaperFrame());
   pictdb::rtree::RTreeOptions opts;  // page-derived branching (~101)
   TreeEnv env = TreeEnv::Make(opts, 4096);
-  auto items = PointEntries(pts);
-  switch (builder) {
-    case kInsert:
-      for (size_t i = 0; i < pts.size(); ++i) {
-        PICTDB_CHECK_OK(
-            env.tree->Insert(Rect::FromPoint(pts[i]), FakeRid(i)));
-      }
-      break;
-    case kPackNN:
-      PICTDB_CHECK_OK(
-          pictdb::pack::PackNearestNeighbor(env.tree.get(), std::move(items)));
-      break;
-    case kLowX:
-      PICTDB_CHECK_OK(
-          pictdb::pack::PackSortChunk(env.tree.get(), std::move(items)));
-      break;
-    case kStr:
-      PICTDB_CHECK_OK(pictdb::pack::PackStr(env.tree.get(), std::move(items)));
-      break;
-    case kHilbert:
-      PICTDB_CHECK_OK(
-          pictdb::pack::PackHilbert(env.tree.get(), std::move(items)));
-      break;
+  if (builder == kInsert) {
+    for (size_t i = 0; i < pts.size(); ++i) {
+      PICTDB_CHECK_OK(env.tree->Insert(Rect::FromPoint(pts[i]), FakeRid(i)));
+    }
+    return env;
   }
+  PackOptions packer;  // kPackNN: the paper's PACK
+  if (builder == kLowX || builder == kHilbert) {
+    packer.strategy = PackStrategy::kSortChunk;
+  }
+  if (builder == kHilbert) {
+    packer.criterion = pictdb::pack::SortCriterion::kHilbert;
+  }
+  if (builder == kStr) packer.strategy = PackStrategy::kStr;
+  PICTDB_CHECK_OK(
+      pictdb::pack::Pack(env.tree.get(), PointEntries(pts), packer));
   return env;
 }
 

@@ -94,7 +94,7 @@ Row BuildWithPack(const std::vector<pictdb::geom::Point>& pts,
                   const std::vector<pictdb::geom::Rect>& windows) {
   TreeEnv env = TreeEnv::Make(PaperOptions(), /*page_size=*/256);
   PICTDB_CHECK_OK(
-      pictdb::pack::PackNearestNeighbor(env.tree.get(), PointEntries(pts)));
+      pictdb::pack::Pack(env.tree.get(), PointEntries(pts)));
   return Measure(*env.tree, pts, queries, windows);
 }
 

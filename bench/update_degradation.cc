@@ -60,7 +60,7 @@ int main() {
   {
     std::vector<pictdb::storage::Rid> rids;
     for (size_t id : ids) rids.push_back(FakeRid(id));
-    PICTDB_CHECK_OK(pictdb::pack::PackNearestNeighbor(
+    PICTDB_CHECK_OK(pictdb::pack::Pack(
         packed.tree.get(), pictdb::pack::MakeLeafEntries(live, rids)));
   }
 
@@ -111,7 +111,7 @@ int main() {
     TreeEnv repacked = TreeEnv::Make(Options());
     std::vector<pictdb::storage::Rid> rids;
     for (size_t id : ids) rids.push_back(FakeRid(id));
-    PICTDB_CHECK_OK(pictdb::pack::PackNearestNeighbor(
+    PICTDB_CHECK_OK(pictdb::pack::Pack(
         repacked.tree.get(), pictdb::pack::MakeLeafEntries(live, rids)));
     auto q = pictdb::rtree::MeasureTree(*repacked.tree);
     PICTDB_CHECK(q.ok());

@@ -11,9 +11,7 @@
 #include <cstdlib>
 
 #include "common/random.h"
-#include "pack/hilbert.h"
 #include "pack/pack.h"
-#include "pack/str.h"
 #include "rtree/metrics.h"
 #include "rtree/rtree.h"
 #include "storage/buffer_pool.h"
@@ -89,16 +87,21 @@ int main(int argc, char** argv) {
         }
         break;
       case 1:
-        PICTDB_CHECK_OK(pack::PackNearestNeighbor(&*tree, std::move(items)));
+        PICTDB_CHECK_OK(pack::Pack(&*tree, std::move(items)));
         break;
       case 2:
-        PICTDB_CHECK_OK(pack::PackSortChunk(&*tree, std::move(items)));
+        PICTDB_CHECK_OK(pack::Pack(
+            &*tree, items, {.strategy = pack::PackStrategy::kSortChunk}));
         break;
       case 3:
-        PICTDB_CHECK_OK(pack::PackStr(&*tree, std::move(items)));
+        PICTDB_CHECK_OK(
+            pack::Pack(&*tree, items, {.strategy = pack::PackStrategy::kStr}));
         break;
       case 4:
-        PICTDB_CHECK_OK(pack::PackHilbert(&*tree, std::move(items)));
+        PICTDB_CHECK_OK(
+            pack::Pack(&*tree, items,
+                       {.criterion = pack::SortCriterion::kHilbert,
+                        .strategy = pack::PackStrategy::kSortChunk}));
         break;
     }
     const auto built = std::chrono::steady_clock::now();

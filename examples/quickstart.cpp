@@ -38,7 +38,7 @@ int main() {
   for (size_t i = 0; i < points.size(); ++i) {
     rids.push_back(storage::Rid{static_cast<storage::PageId>(i), 0});
   }
-  PICTDB_CHECK_OK(pack::PackNearestNeighbor(
+  PICTDB_CHECK_OK(pack::Pack(
       &*packed, pack::MakeLeafEntries(points, rids)));
 
   // 4. The same data inserted dynamically (Guttman's INSERT).

@@ -52,8 +52,8 @@ int main() {
   {
     auto items = pack::MakeLeafEntries(
         pts, std::vector<storage::Rid>(pts.size(), storage::Rid{0, 0}));
-    const auto groups = pack::GroupSortChunk(items, 4,
-                                             pack::SortCriterion::kAscendingX);
+    const auto groups =
+        pack::Group(items, 4, {.strategy = pack::PackStrategy::kSortChunk});
     std::vector<geom::Rect> mbrs;
     for (const auto& g : groups) {
       geom::Rect r;

@@ -373,7 +373,7 @@ StressOutcome RunTrace(const std::vector<Op>& trace,
   if (!initial.empty()) {
     const Status packed =
         durable != nullptr ? durable->BulkLoad(initial)
-                           : pack::PackNearestNeighbor(&*plain, initial);
+                           : pack::Pack(&*plain, initial);
     if (!packed.ok()) {
       outcome.failed = true;
       outcome.message = "initial pack: " + packed.ToString();

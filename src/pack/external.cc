@@ -8,6 +8,7 @@
 
 #include "common/logging.h"
 #include "geom/rect.h"
+#include "pack/builder.h"
 
 namespace pictdb::pack {
 namespace {
@@ -168,20 +169,12 @@ Status PackExternal(RTree* tree, EntrySource* source,
   if (tree->Size() != 0) {
     return Status::InvalidArgument("bulk load target tree is not empty");
   }
-  SortCriterion criterion;
-  switch (options.strategy) {
-    case PackStrategy::kSortChunk:
-      criterion = options.criterion;
-      break;
-    case PackStrategy::kHilbert:
-      criterion = SortCriterion::kHilbert;
-      break;
-    default:
-      return Status::NotSupported(
-          "external pack supports only the sort-chunk strategies "
-          "(kSortChunk / kHilbert); nearest-neighbor and STR groupings "
-          "need random access to a full level");
+  if (options.strategy == PackStrategy::kNearestNeighbor) {
+    return Status::NotSupported(
+        "external pack cannot run the nearest-neighbor grouping: it needs "
+        "a whole level in memory");
   }
+  const SortCriterion criterion = *LevelKey(options);
 
   constexpr uint64_t kDefaultBudget = 64ull << 20;
   const uint64_t budget = options.memory_budget_bytes != 0
@@ -283,58 +276,16 @@ Status PackExternal(RTree* tree, EntrySource* source,
     runs = std::move(next);
   }
 
-  // --- Final merge, streamed straight into packed leaves -------------
-  // Mirrors BulkLoad exactly: when everything fits in one node the
-  // merged stream IS the root; otherwise consecutive chunks of B become
-  // leaves and the (B-times-smaller) parent entries finish in memory
-  // through the shared sort-chunk grouping.
-  const size_t max = tree->options().max_entries;
-  std::vector<Entry> group;
-  group.reserve(std::min<uint64_t>(total, max));
-  std::vector<Entry> parents;
-  if (total > max) {
-    parents.reserve(static_cast<size_t>((total + max - 1) / max));
-  }
-  PICTDB_RETURN_IF_ERROR(MergeRuns(
-      spill.get(), runs, &stats.spill_pages_read,
-      [&](uint64_t /*key*/, const Entry& entry) -> Status {
-        group.push_back(entry);
-        if (total > max && group.size() == max) {
-          PICTDB_ASSIGN_OR_RETURN(const storage::PageId page,
-                                  tree->BulkWriteNode(0, group));
-          Entry parent;
-          for (const Entry& ge : group) parent.mbr.ExpandToInclude(ge.mbr);
-          parent.payload = Entry::PayloadFromChild(page);
-          parents.push_back(parent);
-          group.clear();
-        }
+  // --- Final merge, streamed straight into the level builder ---------
+  PICTDB_RETURN_IF_ERROR(BuildTree(
+      tree, options, total, [&](const EntrySink& emit) -> Status {
+        PICTDB_RETURN_IF_ERROR(MergeRuns(
+            spill.get(), runs, &stats.spill_pages_read,
+            [&emit](uint64_t /*key*/, const Entry& e) { return emit(e); }));
+        ++stats.merge_passes;
+        spill.reset();  // unlink the scratch file before the upper levels
         return Status::OK();
       }));
-  ++stats.merge_passes;
-  spill.reset();  // unlink the scratch file before the tail build
-
-  Status finish = Status::OK();
-  if (total <= max) {
-    PICTDB_CHECK(group.size() == total);
-    PICTDB_ASSIGN_OR_RETURN(const storage::PageId root,
-                            tree->BulkWriteNode(0, group));
-    finish = tree->BulkSetRoot(root, 1, total);
-  } else {
-    if (!group.empty()) {
-      PICTDB_ASSIGN_OR_RETURN(const storage::PageId page,
-                              tree->BulkWriteNode(0, group));
-      Entry parent;
-      for (const Entry& ge : group) parent.mbr.ExpandToInclude(ge.mbr);
-      parent.payload = Entry::PayloadFromChild(page);
-      parents.push_back(parent);
-    }
-    finish = BulkLoadFromLevel(
-        tree, std::move(parents), 1, total,
-        [criterion](const std::vector<Entry>& items, size_t m) {
-          return GroupSortChunk(items, m, criterion);
-        });
-  }
-  PICTDB_RETURN_IF_ERROR(finish);
   if (stats_out != nullptr) *stats_out = stats;
   return Status::OK();
 }

@@ -74,21 +74,21 @@ inline constexpr size_t kSpillMergeMaxFanIn = 64;
 /// formation, so merges never re-derive them.
 inline constexpr size_t kSpillRecordSize = 8 + sizeof(rtree::Entry);
 
-/// Out-of-core bulk load: sort `source` by the options' criterion in
-/// buffers of at most `options.memory_budget_bytes` (0 → 64 MiB),
-/// spill each buffer as a CRC-framed sorted run, k-way merge the runs
-/// with a loser tree, and stream the merged order directly into packed
-/// leaves (`RTree::BulkWriteNode`); upper levels are built from the
-/// B-times-smaller parent stream in memory. Only the sort-chunk
-/// strategies are supported (kSortChunk with any criterion, or kHilbert
-/// which forces the Hilbert criterion) — the nearest-neighbor and STR
-/// groupings need random access to the full level.
+/// Out-of-core bulk load: sort `source` by the strategy's level key
+/// (src/pack/builder.h) in buffers of at most
+/// `options.memory_budget_bytes` (0 → 64 MiB), spill each buffer as a
+/// CRC-framed sorted run (even a single one), k-way merge the runs with
+/// a loser tree, and stream the merged order straight into the level
+/// builder's node cutter; upper levels are built from the B-times-smaller
+/// parent stream in memory. The sort buffer is released before the
+/// merge. kSortChunk and kStr are supported (STR buffers one slab of
+/// S·B entries while its leaves are cut); kNearestNeighbor needs a whole
+/// level in memory and returns NotSupported.
 ///
-/// The result is byte-identical to the in-memory
-/// `PackSortChunk(tree, items, options)` of the same entry stream:
-/// runs are consecutive input chunks, each stable-sorted by key, and
-/// the merge breaks key ties by run position, which reproduces the
-/// global stable sort exactly.
+/// The result is byte-identical to the in-memory `Pack(tree, items,
+/// options)` of the same entry stream: runs are consecutive input
+/// chunks, each stable-sorted by key, and the merge breaks key ties by
+/// run position, which reproduces the global stable sort exactly.
 ///
 /// `spill_manager` overrides where scratch runs live (tests inject a
 /// fault-wrapped manager); nullptr uses `options.spill_dir`. On any

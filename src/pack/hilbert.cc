@@ -4,7 +4,6 @@
 #include <atomic>
 
 #include "common/logging.h"
-#include "pack/pack.h"
 
 namespace pictdb::pack {
 namespace {
@@ -70,13 +69,6 @@ uint64_t HilbertValue(const geom::Point& p, const geom::Rect& frame) {
   const uint32_t gy = static_cast<uint32_t>(
       std::clamp(fy * kMax, 0.0, static_cast<double>(kMax)));
   return HilbertXyToD(kOrder, gx, gy);
-}
-
-Status PackHilbert(rtree::RTree* tree, std::vector<rtree::Entry> leaf_items,
-                   const PackOptions& options) {
-  PackOptions opts = options;
-  opts.criterion = SortCriterion::kHilbert;
-  return PackSortChunk(tree, std::move(leaf_items), opts);
 }
 
 }  // namespace pictdb::pack

@@ -2,13 +2,9 @@
 #define PICTDB_PACK_HILBERT_H_
 
 #include <cstdint>
-#include <vector>
 
-#include "common/status.h"
 #include "geom/point.h"
 #include "geom/rect.h"
-#include "pack/pack.h"
-#include "rtree/rtree.h"
 
 namespace pictdb::pack {
 
@@ -27,15 +23,6 @@ uint64_t HilbertValue(const geom::Point& p, const geom::Rect& frame);
 /// recomputed inside a sort comparator (which costs O(n log n)
 /// curve walks).
 uint64_t HilbertValueComputeCountForTesting();
-
-/// Hilbert-packed R-tree (Kamel & Faloutsos' descendant of this paper's
-/// PACK): sort leaf items by the Hilbert value of their MBR center, chunk
-/// into full nodes, recurse. Often the best space-filling-curve packer;
-/// included as the extension baseline. A thin wrapper over
-/// PackSortChunk with the Hilbert criterion forced; `options.criterion`
-/// is ignored.
-Status PackHilbert(rtree::RTree* tree, std::vector<rtree::Entry> leaf_items,
-                   const PackOptions& options = {});
 
 }  // namespace pictdb::pack
 

@@ -4,13 +4,14 @@
 #include <bit>
 #include <cmath>
 #include <numeric>
+#include <optional>
 #include <utility>
 
 #include "common/logging.h"
+#include "pack/builder.h"
 #include "pack/external.h"
 #include "pack/hilbert.h"
 #include "pack/nn_grid.h"
-#include "pack/str.h"
 
 namespace pictdb::pack {
 
@@ -25,17 +26,6 @@ Status ValidatePackEntry(const Entry& entry) {
   }
   if (r.IsEmpty()) {
     return Status::InvalidArgument("pack entry MBR is empty (lo > hi)");
-  }
-  return Status::OK();
-}
-
-Status ValidatePackEntries(const std::vector<Entry>& entries) {
-  for (size_t i = 0; i < entries.size(); ++i) {
-    Status s = ValidatePackEntry(entries[i]);
-    if (!s.ok()) {
-      return Status::InvalidArgument(s.message() + " (entry " +
-                                     std::to_string(i) + ")");
-    }
   }
   return Status::OK();
 }
@@ -64,41 +54,47 @@ uint64_t SortKey(const Entry& entry, SortCriterion criterion,
   return 0;
 }
 
-geom::Rect HilbertFrameOf(const std::vector<Entry>& entries) {
-  geom::Rect frame;
-  for (const Entry& e : entries) frame.ExpandToInclude(e.mbr);
-  return frame;
+std::optional<SortCriterion> LevelKey(const PackOptions& options) {
+  if (options.strategy == PackStrategy::kNearestNeighbor) return std::nullopt;
+  return options.strategy == PackStrategy::kStr ? SortCriterion::kAscendingX
+                                                : options.criterion;
 }
 
 namespace {
 
+using NodeSink = std::function<Status(const std::vector<Entry>&)>;
+
 /// Indices of `items` ordered by the chosen spatial criterion applied to
-/// the MBR centers. Keys are materialized once per entry — the sort
-/// itself only compares uint64s (the old comparators recomputed
-/// HilbertValue O(n log n) times), and ties keep input order, so the
-/// result is exactly "stable sort by key". This is the ordering contract
-/// the external loader's run-merge reproduces.
+/// the MBR centers (input order when there is none). Keys are
+/// materialized once per entry, so the sort only compares uint64s, and
+/// ties keep input order, so the result is exactly "stable sort by key".
+/// This is the ordering contract the external loader's run-merge
+/// reproduces.
 std::vector<size_t> OrderBy(const std::vector<Entry>& items,
-                            SortCriterion criterion) {
-  const geom::Rect frame = criterion == SortCriterion::kHilbert
-                               ? HilbertFrameOf(items)
-                               : geom::Rect{};
-  std::vector<uint64_t> keys;
-  keys.reserve(items.size());
-  for (const Entry& e : items) keys.push_back(SortKey(e, criterion, frame));
+                            std::optional<SortCriterion> criterion) {
   std::vector<size_t> order(items.size());
   std::iota(order.begin(), order.end(), size_t{0});
+  if (!criterion.has_value()) return order;
+  geom::Rect frame;  // Hilbert keys quantize against the union of all MBRs
+  if (criterion == SortCriterion::kHilbert) {
+    for (const Entry& e : items) frame.ExpandToInclude(e.mbr);
+  }
+  std::vector<uint64_t> keys;
+  keys.reserve(items.size());
+  for (const Entry& e : items) keys.push_back(SortKey(e, *criterion, frame));
   std::stable_sort(order.begin(), order.end(),
                    [&keys](size_t a, size_t b) { return keys[a] < keys[b]; });
   return order;
 }
 
-}  // namespace
-
-std::vector<std::vector<Entry>> GroupNearestNeighbor(
-    const std::vector<Entry>& items, size_t max_per_node,
-    SortCriterion criterion) {
-  PICTDB_CHECK(max_per_node >= 1);
+/// Algorithm PACK from §3.3 of the paper over one whole level: take the
+/// first unassigned item in criterion order and its B-1 nearest
+/// neighbours (by MBR center distance) as a node, until none remain.
+/// Grid indices are input positions, so input order breaks distance
+/// ties. Each node goes to `sink` as soon as it is formed.
+Status NearestNeighborNodes(const std::vector<Entry>& items,
+                            size_t max_per_node, SortCriterion criterion,
+                            const NodeSink& sink) {
   const std::vector<size_t> order = OrderBy(items, criterion);
 
   std::vector<geom::Point> centers;
@@ -106,7 +102,7 @@ std::vector<std::vector<Entry>> GroupNearestNeighbor(
   for (const Entry& e : items) centers.push_back(e.mbr.Center());
   NearestNeighborGrid grid(centers);
 
-  std::vector<std::vector<Entry>> groups;
+  std::vector<Entry> group;
   size_t cursor = 0;  // next candidate in criterion order
   while (grid.remaining() > 0) {
     // I1 := first object of DLIST (in criterion order, still unassigned).
@@ -115,8 +111,7 @@ std::vector<std::vector<Entry>> GroupNearestNeighbor(
     const size_t seed = order[cursor];
     grid.Remove(seed);
 
-    std::vector<Entry> group;
-    group.push_back(items[seed]);
+    group.assign(1, items[seed]);
     // I2..IB := NN(DLIST, I1) — each call returns the remaining item
     // closest to I1 and deletes it from DLIST.
     while (group.size() < max_per_node && grid.remaining() > 0) {
@@ -125,72 +120,119 @@ std::vector<std::vector<Entry>> GroupNearestNeighbor(
       grid.Remove(*nn);
       group.push_back(items[*nn]);
     }
-    groups.push_back(std::move(group));
+    PICTDB_RETURN_IF_ERROR(sink(group));
   }
-  return groups;
+  return Status::OK();
 }
 
-std::vector<std::vector<Entry>> GroupSortChunk(
-    const std::vector<Entry>& items, size_t max_per_node,
-    SortCriterion criterion) {
-  PICTDB_CHECK(max_per_node >= 1);
-  const std::vector<size_t> order = OrderBy(items, criterion);
-  std::vector<std::vector<Entry>> groups;
-  for (size_t i = 0; i < order.size(); i += max_per_node) {
-    std::vector<Entry> group;
-    const size_t end = std::min(order.size(), i + max_per_node);
-    for (size_t j = i; j < end; ++j) group.push_back(items[order[j]]);
-    groups.push_back(std::move(group));
-  }
-  return groups;
-}
-
-Status BulkLoadFromLevel(RTree* tree, std::vector<Entry> items, uint16_t level,
-                         uint64_t leaf_count, const GroupingFn& grouping) {
-  const size_t max = tree->options().max_entries;
-
-  while (items.size() > max) {
-    const std::vector<std::vector<Entry>> groups = grouping(items, max);
-    PICTDB_CHECK(groups.size() > 1) << "grouping must make progress";
-    std::vector<Entry> parents;
-    parents.reserve(groups.size());
-    for (const std::vector<Entry>& g : groups) {
-      PICTDB_CHECK(!g.empty() && g.size() <= max);
-      PICTDB_ASSIGN_OR_RETURN(const storage::PageId page,
-                              tree->BulkWriteNode(level, g));
-      Entry parent;
-      for (const Entry& e : g) parent.mbr.ExpandToInclude(e.mbr);
-      parent.payload = Entry::PayloadFromChild(page);
-      parents.push_back(parent);
+/// The node cutter: turns one level's ordered stream into nodes of at
+/// most `max` entries and hands each to the sink.
+///  - kSortChunk cuts every `max` entries.
+///  - kStr buffers one slab of S·max entries, S = ceil(sqrt(ceil(n/max))),
+///    stable-sorts the slab by y, then cuts every `max`.
+///  - kNearestNeighbor buffers the whole level (in input order) and
+///    groups it when the level ends.
+class NodeCutter {
+ public:
+  NodeCutter(const PackOptions& options, size_t max, uint64_t n,
+             const NodeSink& sink)
+      : options_(options), max_(max), sink_(sink) {
+    PICTDB_CHECK(max >= 1);
+    if (options.strategy == PackStrategy::kSortChunk) flush_at_ = max;
+    if (options.strategy == PackStrategy::kStr) {
+      const double nodes = static_cast<double>((n + max - 1) / max);
+      flush_at_ = static_cast<uint64_t>(std::ceil(std::sqrt(nodes))) * max;
     }
-    items = std::move(parents);
-    ++level;
+    buffer_.reserve(static_cast<size_t>(std::min(flush_at_, n)));
   }
 
-  PICTDB_ASSIGN_OR_RETURN(const storage::PageId root,
-                          tree->BulkWriteNode(level, items));
-  return tree->BulkSetRoot(root, level + 1u, leaf_count);
+  Status Add(const Entry& e) {
+    buffer_.push_back(e);
+    return buffer_.size() == flush_at_ ? Flush() : Status::OK();
+  }
+
+  Status Finish() { return Flush(); }
+
+ private:
+  Status Flush() {
+    if (options_.strategy == PackStrategy::kNearestNeighbor) {
+      return NearestNeighborNodes(buffer_, max_, options_.criterion, sink_);
+    }
+    if (options_.strategy == PackStrategy::kStr) {  // tile the slab by y
+      std::vector<Entry> by_y;
+      by_y.reserve(buffer_.size());
+      for (const size_t i : OrderBy(buffer_, SortCriterion::kAscendingY)) {
+        by_y.push_back(buffer_[i]);
+      }
+      buffer_ = std::move(by_y);
+    }
+    for (size_t i = 0; i < buffer_.size(); i += max_) {
+      PICTDB_RETURN_IF_ERROR(sink_(
+          {buffer_.begin() + i,
+           buffer_.begin() + std::min(buffer_.size(), i + max_)}));
+    }
+    buffer_.clear();
+    return Status::OK();
+  }
+
+  const PackOptions& options_;
+  const size_t max_;
+  const NodeSink& sink_;
+  uint64_t flush_at_ = UINT64_MAX;  // nearest-neighbor: the whole level
+  std::vector<Entry> buffer_;
+};
+
+/// Runs one level through an orderer into a fresh node cutter.
+Status CutLevel(const PackOptions& options, size_t max, uint64_t n,
+                const LevelOrderer& order, const NodeSink& sink) {
+  NodeCutter cutter(options, max, n, sink);
+  PICTDB_RETURN_IF_ERROR(
+      order([&cutter](const Entry& e) { return cutter.Add(e); }));
+  return cutter.Finish();
 }
 
-Status BulkLoad(RTree* tree, std::vector<Entry> leaf_items,
-                const GroupingFn& grouping) {
-  if (tree->Size() != 0) {
-    return Status::InvalidArgument("bulk load target tree is not empty");
-  }
-  PICTDB_RETURN_IF_ERROR(ValidatePackEntries(leaf_items));
-  if (leaf_items.empty()) return Status::OK();
-  const uint64_t size = leaf_items.size();
+/// The in-memory orderer: `items` (not copied) in stable LevelKey order.
+LevelOrderer InMemoryOrder(const std::vector<Entry>& items,
+                           const PackOptions& options) {
+  return [&items, &options](const EntrySink& emit) -> Status {
+    for (const size_t i : OrderBy(items, LevelKey(options))) {
+      PICTDB_RETURN_IF_ERROR(emit(items[i]));
+    }
+    return Status::OK();
+  };
+}
+
+}  // namespace
+
+Status BuildTree(RTree* tree, const PackOptions& options, uint64_t n,
+                 const LevelOrderer& leaves) {
   const size_t max = tree->options().max_entries;
-  if (leaf_items.size() <= max) {
-    // Everything fits in the root leaf. Still order it through the
-    // grouping so a one-node tree reflects the packer's criterion —
-    // and so the external loader's merged (sorted) stream produces the
-    // identical page.
-    std::vector<std::vector<Entry>> groups = grouping(leaf_items, max);
-    PICTDB_CHECK(groups.size() == 1);
-    leaf_items = std::move(groups[0]);
+  uint16_t level = 0;
+  storage::PageId last = 0;
+  std::vector<Entry> parents;
+  const NodeSink write = [&](const std::vector<Entry>& node) -> Status {
+    PICTDB_ASSIGN_OR_RETURN(last, tree->BulkWriteNode(level, node));
+    Entry parent;
+    for (const Entry& e : node) parent.mbr.ExpandToInclude(e.mbr);
+    parent.payload = Entry::PayloadFromChild(last);
+    parents.push_back(parent);
+    return Status::OK();
+  };
+  PICTDB_RETURN_IF_ERROR(CutLevel(options, max, n, leaves, write));
+  // n <= B: the one leaf, written in the cutter's order, is the root.
+  if (parents.size() == 1) return tree->BulkSetRoot(last, 1, n);
+
+  while (parents.size() > max) {
+    const std::vector<Entry> items = std::exchange(parents, {});
+    ++level;
+    PICTDB_RETURN_IF_ERROR(CutLevel(options, max, items.size(),
+                                    InMemoryOrder(items, options), write));
   }
-  return BulkLoadFromLevel(tree, std::move(leaf_items), 0, size, grouping);
+  // The upper-level root keeps its children in emit order.
+  ++level;
+  PICTDB_ASSIGN_OR_RETURN(const storage::PageId root,
+                          tree->BulkWriteNode(level, parents));
+  return tree->BulkSetRoot(root, level + 1u, n);
 }
 
 Status Pack(RTree* tree, std::vector<Entry> leaf_items,
@@ -199,48 +241,39 @@ Status Pack(RTree* tree, std::vector<Entry> leaf_items,
     VectorEntrySource source(&leaf_items);
     return PackExternal(tree, &source, options);
   }
-  switch (options.strategy) {
-    case PackStrategy::kNearestNeighbor:
-      return PackNearestNeighbor(tree, std::move(leaf_items), options);
-    case PackStrategy::kSortChunk:
-      return PackSortChunk(tree, std::move(leaf_items), options);
-    case PackStrategy::kStr:
-      return PackStr(tree, std::move(leaf_items), options);
-    case PackStrategy::kHilbert:
-      return PackHilbert(tree, std::move(leaf_items), options);
+  if (tree->Size() != 0) {
+    return Status::InvalidArgument("bulk load target tree is not empty");
   }
-  return Status::InvalidArgument("unknown PackStrategy");
+  for (size_t i = 0; i < leaf_items.size(); ++i) {
+    if (Status s = ValidatePackEntry(leaf_items[i]); !s.ok()) {
+      return Status::InvalidArgument(s.message() + " (entry " +
+                                     std::to_string(i) + ")");
+    }
+  }
+  if (leaf_items.empty()) return Status::OK();
+  return BuildTree(tree, options, leaf_items.size(),
+                   InMemoryOrder(leaf_items, options));
 }
 
-Status PackNearestNeighbor(RTree* tree, std::vector<Entry> leaf_items,
-                           const PackOptions& options) {
-  return BulkLoad(tree, std::move(leaf_items),
-                  [&options](const std::vector<Entry>& items, size_t max) {
-                    return GroupNearestNeighbor(items, max,
-                                                options.criterion);
-                  });
-}
-
-Status PackSortChunk(RTree* tree, std::vector<Entry> leaf_items,
-                     const PackOptions& options) {
-  return BulkLoad(tree, std::move(leaf_items),
-                  [&options](const std::vector<Entry>& items, size_t max) {
-                    return GroupSortChunk(items, max, options.criterion);
-                  });
+std::vector<std::vector<Entry>> Group(const std::vector<Entry>& items,
+                                      size_t max_per_node,
+                                      const PackOptions& options) {
+  std::vector<std::vector<Entry>> groups;
+  PICTDB_CHECK_OK(CutLevel(options, max_per_node, items.size(),
+                           InMemoryOrder(items, options),
+                           [&groups](const std::vector<Entry>& node) {
+                             groups.push_back(node);
+                             return Status::OK();
+                           }));
+  return groups;
 }
 
 std::vector<Entry> MakeLeafEntries(const std::vector<geom::Point>& points,
                                    const std::vector<storage::Rid>& rids) {
-  PICTDB_CHECK(points.size() == rids.size());
-  std::vector<Entry> out;
-  out.reserve(points.size());
-  for (size_t i = 0; i < points.size(); ++i) {
-    Entry e;
-    e.mbr = geom::Rect::FromPoint(points[i]);
-    e.payload = Entry::PayloadFromRid(rids[i]);
-    out.push_back(e);
-  }
-  return out;
+  std::vector<geom::Rect> rects;
+  rects.reserve(points.size());
+  for (const geom::Point& p : points) rects.push_back(geom::Rect::FromPoint(p));
+  return MakeLeafEntries(rects, rids);
 }
 
 std::vector<Entry> MakeLeafEntries(const std::vector<geom::Rect>& rects,

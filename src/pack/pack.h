@@ -2,7 +2,6 @@
 #define PICTDB_PACK_PACK_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -22,42 +21,38 @@ enum class SortCriterion {
   kHilbert,
 };
 
-/// Which packing algorithm arranges the ordered entries into nodes.
+/// How one level's entries are cut into nodes. Every strategy runs
+/// through the same level builder: an orderer yields the level in
+/// stable sort-key order, and the strategy's node cutter turns that
+/// stream into node pages.
 enum class PackStrategy {
   kNearestNeighbor,  // the paper's PACK (§3.3): seed + B-1 nearest
-  kSortChunk,        // sort by criterion, cut runs of B ("lowx")
-  kStr,              // Sort-Tile-Recursive (x-slabs, y-sorted tiles)
-  kHilbert,          // kSortChunk with the Hilbert criterion forced
+  kSortChunk,        // sort by criterion, cut runs of B ("lowx", Hilbert)
+  kStr,              // Sort-Tile-Recursive: x-slabs of S·B, cut by y
 };
 
 struct PackOptions {
+  /// Orders nearest-neighbor seeds and sort-chunk runs; STR ignores it.
   SortCriterion criterion = SortCriterion::kAscendingX;
   PackStrategy strategy = PackStrategy::kNearestNeighbor;
-  /// When non-zero, Pack() routes sort-chunk strategies through the
-  /// external-sort loader (src/pack/external.h): the entry list is
-  /// key-sorted in buffers of at most this many bytes, spilled as
-  /// CRC-framed runs, and merged straight into packed leaves. Zero
-  /// means sort fully in memory.
+  /// When non-zero, Pack() routes through the external-sort loader
+  /// (src/pack/external.h): the leaf level is key-sorted in buffers of
+  /// at most this many bytes, spilled as CRC-framed runs, and merged
+  /// straight into the node cutter. Zero means sort fully in memory.
+  /// Nearest-neighbor packing needs a whole level in memory and rejects
+  /// a budget with NotSupported.
   uint64_t memory_budget_bytes = 0;
   /// Directory for spill files when the external path runs.
   std::string spill_dir = ".";
 };
 
-/// Groups one level's entries into nodes of at most `max_per_node`.
-/// Every group must be non-empty, and more than one group must be
-/// produced when entries.size() > max_per_node.
-using GroupingFn = std::function<std::vector<std::vector<rtree::Entry>>(
-    const std::vector<rtree::Entry>&, size_t max_per_node)>;
-
 /// Rejects entries no packer can order: every MBR coordinate must be
 /// finite and the rect non-empty (lo <= hi). NaN coordinates violate
 /// strict weak ordering inside std::stable_sort (UB), and an all-empty
 /// input leaves the Hilbert frame inverted (inf - inf = NaN feeding an
-/// undefined NaN→uint32 cast) — so every Pack* entry point calls this
-/// before touching the tree and surfaces InvalidArgument instead.
+/// undefined NaN→uint32 cast) — so both loaders check every entry
+/// before touching the tree and surface InvalidArgument instead.
 [[nodiscard]] Status ValidatePackEntry(const rtree::Entry& entry);
-[[nodiscard]] Status ValidatePackEntries(
-    const std::vector<rtree::Entry>& entries);
 
 /// Order-preserving bijection from double to uint64: a < b (as doubles,
 /// no NaNs) iff MonotoneBits(a) < MonotoneBits(b). -0.0 maps below +0.0.
@@ -72,45 +67,20 @@ uint64_t MonotoneBits(double value);
 uint64_t SortKey(const rtree::Entry& entry, SortCriterion criterion,
                  const geom::Rect& hilbert_frame);
 
-/// The frame the Hilbert criterion quantizes against: the union of all
-/// entry MBRs.
-geom::Rect HilbertFrameOf(const std::vector<rtree::Entry>& entries);
-
-/// Shared bottom-up construction: applies `grouping` per level until the
-/// remaining entries fit into a single root node. The target tree must be
-/// freshly created (empty). Validates entries (see ValidatePackEntries).
-Status BulkLoad(rtree::RTree* tree, std::vector<rtree::Entry> leaf_items,
-                const GroupingFn& grouping);
-
-/// BulkLoad's upper half, exposed for loaders that write leaves
-/// themselves (the external-sort path): `items` are the entries of
-/// level `level` (already written when level > 0), `leaf_count` is the
-/// tree's final Size(). Performs no input validation.
-Status BulkLoadFromLevel(rtree::RTree* tree, std::vector<rtree::Entry> items,
-                         uint16_t level, uint64_t leaf_count,
-                         const GroupingFn& grouping);
-
-/// Single entry point dispatching on options.strategy (and, when
-/// options.memory_budget_bytes > 0 and the strategy is a sort-chunk
-/// family, through the external-sort loader). The named Pack* functions
-/// below remain as thin wrappers.
+/// Bulk-loads `leaf_items` into a freshly created (empty) tree, level
+/// by level, with `options.strategy`. A non-zero memory budget routes
+/// through PackExternal over a VectorEntrySource. Validates every entry
+/// (see ValidatePackEntry).
 Status Pack(rtree::RTree* tree, std::vector<rtree::Entry> leaf_items,
-            const PackOptions& options);
+            const PackOptions& options = {});
 
-/// Algorithm PACK from §3.3 of the paper: order the items by the spatial
-/// criterion, then repeatedly take the first remaining item and its B-1
-/// nearest neighbours (by MBR center distance) to form a full node;
-/// recurse on the node MBRs.
-Status PackNearestNeighbor(rtree::RTree* tree,
-                           std::vector<rtree::Entry> leaf_items,
-                           const PackOptions& options = {});
-
-/// Sort-and-chunk packing (what the literature later called the "lowx
-/// packed R-tree"): order by the criterion and cut into consecutive runs
-/// of B. This is also the exact construction used in the proof of
-/// Theorem 3.2.
-Status PackSortChunk(rtree::RTree* tree, std::vector<rtree::Entry> leaf_items,
-                     const PackOptions& options = {});
+/// One level of the packer: `items` cut into nodes of at most
+/// `max_per_node` exactly as Pack() cuts that level. Every group is
+/// non-empty, and more than one is produced when items.size() >
+/// max_per_node.
+std::vector<std::vector<rtree::Entry>> Group(
+    const std::vector<rtree::Entry>& items, size_t max_per_node,
+    const PackOptions& options);
 
 /// Convenience: wrap points+rids into leaf entries.
 std::vector<rtree::Entry> MakeLeafEntries(
@@ -119,15 +89,6 @@ std::vector<rtree::Entry> MakeLeafEntries(
 std::vector<rtree::Entry> MakeLeafEntries(
     const std::vector<geom::Rect>& rects,
     const std::vector<storage::Rid>& rids);
-
-/// The grouping functions behind the loaders, exposed for tests and for
-/// composing custom loaders.
-std::vector<std::vector<rtree::Entry>> GroupNearestNeighbor(
-    const std::vector<rtree::Entry>& items, size_t max_per_node,
-    SortCriterion criterion);
-std::vector<std::vector<rtree::Entry>> GroupSortChunk(
-    const std::vector<rtree::Entry>& items, size_t max_per_node,
-    SortCriterion criterion);
 
 }  // namespace pictdb::pack
 

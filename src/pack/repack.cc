@@ -9,19 +9,24 @@ using rtree::Entry;
 using rtree::LeafHit;
 using rtree::RTree;
 
-Status Repack(RTree* tree, const PackOptions& options) {
-  PICTDB_ASSIGN_OR_RETURN(const std::vector<LeafHit> hits,
-                          tree->CollectAllEntries());
+namespace {
+
+std::vector<Entry> EntriesOf(const std::vector<LeafHit>& hits) {
   std::vector<Entry> items;
   items.reserve(hits.size());
   for (const LeafHit& hit : hits) {
-    Entry e;
-    e.mbr = hit.mbr;
-    e.payload = Entry::PayloadFromRid(hit.rid);
-    items.push_back(e);
+    items.push_back(Entry{hit.mbr, Entry::PayloadFromRid(hit.rid)});
   }
+  return items;
+}
+
+}  // namespace
+
+Status Repack(RTree* tree, const PackOptions& options) {
+  PICTDB_ASSIGN_OR_RETURN(const std::vector<LeafHit> hits,
+                          tree->CollectAllEntries());
   PICTDB_RETURN_IF_ERROR(tree->Clear());
-  return Pack(tree, std::move(items), options);
+  return Pack(tree, EntriesOf(hits), options);
 }
 
 StatusOr<ScrubReport> ScrubAndRepack(RTree* tree,
@@ -63,14 +68,10 @@ StatusOr<ScrubReport> ScrubAndRepack(RTree* tree,
     ++report.pages_freed;
   }
 
-  std::vector<Entry> items;
-  if (base_entries != nullptr) {
-    report.rebuilt_from_base = true;
-    items = *base_entries;
-  } else {
-    items = std::move(salvaged);
-  }
-  PICTDB_RETURN_IF_ERROR(Pack(tree, std::move(items), options));
+  report.rebuilt_from_base = base_entries != nullptr;
+  PICTDB_RETURN_IF_ERROR(Pack(
+      tree, base_entries != nullptr ? *base_entries : std::move(salvaged),
+      options));
   return report;
 }
 
@@ -85,15 +86,7 @@ StatusOr<size_t> RepackRegion(RTree* tree, const geom::Rect& region,
     PICTDB_RETURN_IF_ERROR(tree->Delete(hit.mbr, hit.rid));
   }
 
-  std::vector<Entry> items;
-  items.reserve(hits.size());
-  for (const LeafHit& hit : hits) {
-    Entry e;
-    e.mbr = hit.mbr;
-    e.payload = Entry::PayloadFromRid(hit.rid);
-    items.push_back(e);
-  }
-
+  const std::vector<Entry> items = EntriesOf(hits);
   const size_t max = tree->options().max_entries;
   if (tree->Height() < 2 || items.size() < max) {
     // Too shallow (or too few entries to fill a leaf): plain re-insert.
@@ -103,10 +96,11 @@ StatusOr<size_t> RepackRegion(RTree* tree, const geom::Rect& region,
     return items.size();
   }
 
-  // Regroup into full leaves with the PACK criterion and graft each leaf
-  // back as a subtree. A trailing underfull group is re-inserted entry by
-  // entry so no leaf violates the minimum fill under later deletes.
-  const auto groups = GroupNearestNeighbor(items, max, options.criterion);
+  // Regroup into full leaves with the packer's grouping and graft each
+  // leaf back as a subtree. A trailing underfull group is re-inserted
+  // entry by entry so no leaf violates the minimum fill under later
+  // deletes.
+  const auto groups = Group(items, max, options);
   const size_t min_fill = tree->options().min_entries;
   size_t repacked = 0;
   for (const auto& group : groups) {

@@ -20,8 +20,9 @@ Status Repack(rtree::RTree* tree, const PackOptions& options = {});
 /// The paper's §4 future-work item made concrete: "dynamic invocation of
 /// the PACK algorithm during insertions and deletions to efficiently
 /// perform a local reorganization". Removes the leaf entries whose MBRs
-/// intersect `region`, regroups them with PACK's nearest-neighbour
-/// criterion into full leaves, and grafts those leaves back as subtrees.
+/// intersect `region`, regroups them into full leaves with Group() and
+/// `options` (default: PACK's nearest-neighbour grouping), and grafts
+/// those leaves back as subtrees.
 /// Returns the number of entries repacked. Falls back to per-entry
 /// re-insertion when the tree is too shallow to host subtrees.
 StatusOr<size_t> RepackRegion(rtree::RTree* tree, const geom::Rect& region,

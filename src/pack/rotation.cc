@@ -45,7 +45,8 @@ Status PackWithRotation(rtree::RTree* tree,
   const geom::Transform rot = geom::Transform::Rotation(angle);
   if (transform_out != nullptr) *transform_out = rot;
   const std::vector<geom::Point> rotated = rot.Apply(points);
-  return PackSortChunk(tree, MakeLeafEntries(rotated, rids));
+  return Pack(tree, MakeLeafEntries(rotated, rids),
+              {.strategy = PackStrategy::kSortChunk});
 }
 
 }  // namespace pictdb::pack

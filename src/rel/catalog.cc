@@ -60,14 +60,14 @@ Status Catalog::Associate(const std::string& picture,
                           const std::string& relation,
                           const std::string& column,
                           const rtree::RTreeOptions& options,
-                          Relation::SpatialLoader loader) {
+                          const pack::PackOptions& packer) {
   const auto pit = pictures_.find(picture);
   if (pit == pictures_.end()) {
     return Status::NotFound("no picture named " + picture);
   }
   PICTDB_ASSIGN_OR_RETURN(Relation * rel, GetRelation(relation));
   if (!rel->HasSpatialIndex(column)) {
-    PICTDB_RETURN_IF_ERROR(rel->CreateSpatialIndex(column, options, loader));
+    PICTDB_RETURN_IF_ERROR(rel->CreateSpatialIndex(column, options, packer));
   }
   pit->second.associations[relation] = column;
   return Status::OK();

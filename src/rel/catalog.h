@@ -49,8 +49,7 @@ class Catalog {
   Status Associate(const std::string& picture, const std::string& relation,
                    const std::string& column,
                    const rtree::RTreeOptions& options = {},
-                   Relation::SpatialLoader loader =
-                       Relation::SpatialLoader::kPack);
+                   const pack::PackOptions& packer = {});
 
   /// Column of `relation` shown on `picture`; NotFound when the relation
   /// is not associated with it.

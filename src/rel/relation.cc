@@ -1,9 +1,6 @@
 #include "rel/relation.h"
 
 #include "common/logging.h"
-#include "pack/hilbert.h"
-#include "pack/pack.h"
-#include "pack/str.h"
 
 namespace pictdb::rel {
 
@@ -181,7 +178,7 @@ StatusOr<std::vector<Rid>> Relation::IndexRange(const std::string& column,
 
 Status Relation::CreateSpatialIndex(const std::string& column,
                                     const rtree::RTreeOptions& options,
-                                    SpatialLoader loader) {
+                                    const pack::PackOptions& packer) {
   if (spatial_indexes_.count(column) != 0) {
     return Status::AlreadyExists("spatial index on " + column +
                                  " already exists");
@@ -209,24 +206,7 @@ Status Relation::CreateSpatialIndex(const std::string& column,
     }
     PICTDB_ASSIGN_OR_RETURN(rid, NextRid(rid));
   }
-  switch (loader) {
-    case SpatialLoader::kPack:
-      PICTDB_RETURN_IF_ERROR(
-          pack::PackNearestNeighbor(index.get(), std::move(items)));
-      break;
-    case SpatialLoader::kStr:
-      PICTDB_RETURN_IF_ERROR(pack::PackStr(index.get(), std::move(items)));
-      break;
-    case SpatialLoader::kHilbert:
-      PICTDB_RETURN_IF_ERROR(
-          pack::PackHilbert(index.get(), std::move(items)));
-      break;
-    case SpatialLoader::kInsert:
-      for (const rtree::Entry& e : items) {
-        PICTDB_RETURN_IF_ERROR(index->Insert(e.mbr, e.AsRid()));
-      }
-      break;
-  }
+  PICTDB_RETURN_IF_ERROR(pack::Pack(index.get(), std::move(items), packer));
   spatial_indexes_[column] = std::move(index);
   return Status::OK();
 }

@@ -8,6 +8,7 @@
 
 #include "btree/btree.h"
 #include "common/status_or.h"
+#include "pack/pack.h"
 #include "rel/tuple.h"
 #include "rtree/rtree.h"
 #include "storage/heap_file.h"
@@ -63,12 +64,11 @@ class Relation {
 
   // --- Pictorial indexing --------------------------------------------------
 
-  /// Build an R-tree over a geometry column using the given bulk loader
-  /// applied to the MBRs of all existing tuples.
-  enum class SpatialLoader { kPack, kStr, kHilbert, kInsert };
+  /// Build an R-tree over a geometry column by packing the MBRs of all
+  /// existing tuples with `packer` (default: the paper's PACK).
   Status CreateSpatialIndex(const std::string& column,
                             const rtree::RTreeOptions& options = {},
-                            SpatialLoader loader = SpatialLoader::kPack);
+                            const pack::PackOptions& packer = {});
 
   bool HasSpatialIndex(const std::string& column) const;
 

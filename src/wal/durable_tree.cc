@@ -139,8 +139,9 @@ StatusOr<std::unique_ptr<DurableRTree>> DurableRTree::Open(
     dt->tree_.emplace(std::move(tree).value());
     if (!replay->entries.empty()) {
       if (Status st =
-              pack::PackSortChunk(&*dt->tree_, replay->entries,
-                                  {.criterion = pack::SortCriterion::kHilbert});
+              pack::Pack(&*dt->tree_, replay->entries,
+                         {.criterion = pack::SortCriterion::kHilbert,
+                          .strategy = pack::PackStrategy::kSortChunk});
           !st.ok()) {
         return st;
       }
@@ -392,9 +393,10 @@ Status DurableRTree::BulkLoad(std::vector<rtree::Entry> entries) {
   if (tree_->Size() != 0) {
     return Status::InvalidArgument("BulkLoad requires an empty tree");
   }
-  if (Status st = pack::PackSortChunk(
+  if (Status st = pack::Pack(
           &*tree_, std::move(entries),
-          {.criterion = pack::SortCriterion::kHilbert});
+          {.criterion = pack::SortCriterion::kHilbert,
+           .strategy = pack::PackStrategy::kSortChunk});
       !st.ok()) {
     return st;
   }

@@ -19,6 +19,7 @@ constexpr uint32_t kChainHeaderBytes = 8;
 constexpr uint32_t kAnchorMagic = 0x57414C41u;  // "WALA"
 constexpr size_t kAnchorSlotBytes = 24;
 constexpr size_t kAnchorSlotOffset[2] = {0, 64};
+static_assert(Wal::kMinPageSize == kAnchorSlotOffset[1] + kAnchorSlotBytes);
 
 // Transient-IOError retry budget for raw page I/O. The WAL bypasses the
 // buffer pool, so it owes itself the same bounded-retry envelope the
@@ -36,6 +37,14 @@ uint64_t LoadU64(const char* p) {
   uint64_t v;
   std::memcpy(&v, p, sizeof(v));
   return v;
+}
+
+Status CheckPageSize(const storage::DiskManager* disk) {
+  if (disk->page_size() >= Wal::kMinPageSize) return Status::OK();
+  return Status::InvalidArgument(
+      "WAL page size " + std::to_string(disk->page_size()) +
+      " cannot hold both anchor slots (minimum " +
+      std::to_string(Wal::kMinPageSize) + ")");
 }
 
 bool AllZero(const char* p, size_t n) {
@@ -145,6 +154,7 @@ Status Wal::WritePageRetry(storage::PageId id, const char* data) const {
 }
 
 StatusOr<Wal> Wal::Create(storage::DiskManager* disk) {
+  if (Status st = CheckPageSize(disk); !st.ok()) return st;
   const storage::PageId anchor = disk->AllocatePage();
   const storage::PageId head = disk->AllocatePage();
 
@@ -204,6 +214,7 @@ Status Wal::ScanChain(storage::DiskManager* disk, storage::PageId head,
 
 StatusOr<Wal> Wal::Open(storage::DiskManager* disk,
                         storage::PageId anchor_page, ScanResult* scan) {
+  if (Status st = CheckPageSize(disk); !st.ok()) return st;
   std::string anchor(disk->page_size(), '\0');
   if (Status st = RetryRead(disk, anchor_page, anchor.data()); !st.ok()) {
     return st;

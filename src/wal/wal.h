@@ -52,6 +52,10 @@ struct ScanResult {
 /// pointing at a complete, valid chain.
 class Wal {
  public:
+  /// Smallest page size that holds both anchor slots; Create and Open
+  /// reject smaller pages with InvalidArgument.
+  static constexpr uint32_t kMinPageSize = 88;
+
   /// Allocate an anchor page and an empty first chain on `disk`.
   /// The caller should immediately Rotate() an initial snapshot so the
   /// chain is never without one.

@@ -15,7 +15,6 @@ Each unit is analyzed in isolation (own model, stubs as --context), so
 units may reuse class names.
 """
 
-import argparse
 import os
 import re
 import subprocess
@@ -53,12 +52,11 @@ def expected_findings(path):
     return marks
 
 
-def analyze(path, frontend):
+def analyze(path):
     cmd = [sys.executable, ANALYZE, path,
            "--context", STUBS,
            "--hierarchy", HIERARCHY,
-           "--wal-scope", "analyzer_corpus",
-           "--frontend", frontend]
+           "--wal-scope", "analyzer_corpus"]
     proc = subprocess.run(cmd, capture_output=True, text=True)
     if proc.returncode == 2:
         raise RuntimeError(f"analyzer setup error on {path}:\n{proc.stderr}")
@@ -71,11 +69,6 @@ def analyze(path, frontend):
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--frontend", default="native",
-                    choices=("native", "clang", "auto"))
-    args = ap.parse_args()
-
     bad = sorted(f for f in os.listdir(HERE) if f.startswith("bad_")
                  and f.endswith(".cc"))
     good = sorted(f for f in os.listdir(HERE) if f.startswith("good_")
@@ -92,7 +85,7 @@ def main():
         if not want:
             failures.append(f"{name}: no BUG markers in a bad unit")
             continue
-        got, raw = analyze(path, args.frontend)
+        got, raw = analyze(path)
         fired |= {rule for (_line, rule) in got}
         missing = want - got
         surprise = got - want
@@ -109,7 +102,7 @@ def main():
                 "    " + ln for ln in raw.splitlines()))
 
     for name in good:
-        got, raw = analyze(os.path.join(HERE, name), args.frontend)
+        got, raw = analyze(os.path.join(HERE, name))
         if got:
             failures.append(f"{name}: clean unit produced findings:\n"
                             + "\n".join("    " + ln
@@ -122,13 +115,13 @@ def main():
 
     if failures:
         print(f"run_corpus.py: FAIL ({len(bad)} bad, {len(good)} good "
-              f"units, frontend={args.frontend})")
+              "units)")
         for f in failures:
             print(f)
         return 1
     print(f"run_corpus.py: OK — {len(bad)} bad units fired exactly as "
           f"marked, {len(good)} good units clean, all {len(RULES)} rules "
-          f"exercised (frontend={args.frontend})")
+          "exercised")
     return 0
 
 

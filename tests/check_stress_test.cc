@@ -208,7 +208,7 @@ TEST(AcceptanceTest, TenThousandMixedQueriesZeroWrongAnswers) {
   auto created = RTree::Create(&pool);
   PICTDB_CHECK(created.ok());
   RTree tree = std::move(created).value();
-  PICTDB_CHECK_OK(pack::PackNearestNeighbor(&tree, entries));
+  PICTDB_CHECK_OK(pack::Pack(&tree, entries));
 
   DiffRunner runner(&tree, &oracle);
   uint64_t total = 0, wrong = 0, failed = 0, degraded = 0;

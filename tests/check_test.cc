@@ -60,7 +60,7 @@ RTree BuildPacked(Env* env, const std::vector<Entry>& entries,
   auto tree = RTree::Create(&env->pool, opts);
   PICTDB_CHECK(tree.ok());
   RTree t = std::move(tree).value();
-  PICTDB_CHECK_OK(pack::PackNearestNeighbor(&t, entries));
+  PICTDB_CHECK_OK(pack::Pack(&t, entries));
   return t;
 }
 
@@ -379,7 +379,7 @@ TEST_F(DiffRunnerTest, FaultyDiskYieldsNoWrongAnswers) {
   auto created = RTree::Create(&pool);
   PICTDB_CHECK(created.ok());
   RTree tree = std::move(created).value();
-  PICTDB_CHECK_OK(pack::PackNearestNeighbor(&tree, entries));
+  PICTDB_CHECK_OK(pack::Pack(&tree, entries));
   const Oracle oracle = OracleOf(entries);
 
   // 1% transient faults on every read, tiny pool so reads actually hit

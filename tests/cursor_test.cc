@@ -32,7 +32,7 @@ RTree MakeTree(Env* env, const std::vector<Point>& pts) {
   for (size_t i = 0; i < pts.size(); ++i) {
     rids.push_back(Rid{static_cast<storage::PageId>(i), 0});
   }
-  PICTDB_CHECK_OK(pack::PackNearestNeighbor(
+  PICTDB_CHECK_OK(pack::Pack(
       &*tree, pack::MakeLeafEntries(pts, rids)));
   return std::move(tree).value();
 }

@@ -1,6 +1,7 @@
 // The external-sort bulk loader's contract: same criterion, same entry
 // stream → a disk image byte-identical to the in-memory pack, across
-// run counts 1 / 2 / many (cascaded); spill corruption surfaces as a
+// run counts 1 / 2 / many (cascaded), for sort-chunk and STR alike;
+// NN is refused with a budget; spill corruption surfaces as a
 // clean error with the tree left empty and usable.
 
 #include <gtest/gtest.h>
@@ -124,7 +125,8 @@ struct CriterionCase {
 const CriterionCase kCriteria[] = {
     {"lowx", PackStrategy::kSortChunk, SortCriterion::kAscendingX},
     {"lowy", PackStrategy::kSortChunk, SortCriterion::kAscendingY},
-    {"hilbert", PackStrategy::kHilbert, SortCriterion::kHilbert},
+    {"hilbert", PackStrategy::kSortChunk, SortCriterion::kHilbert},
+    {"str", PackStrategy::kStr, SortCriterion::kAscendingX},
 };
 
 // --- byte-identity across run counts --------------------------------------
@@ -182,7 +184,7 @@ TEST_P(ExternalPackEquivalence, MatchesInMemoryPackByteForByte) {
 
 INSTANTIATE_TEST_SUITE_P(
     Criteria, ExternalPackEquivalence,
-    ::testing::Combine(::testing::Range(0, 3),
+    ::testing::Combine(::testing::Range(0, 4),
                        ::testing::Values<uint64_t>(11, 12)),
     [](const auto& info) {
       return std::string(kCriteria[std::get<0>(info.param)].name) + "_seed" +
@@ -258,13 +260,15 @@ TEST(ExternalPackTest, RejectsUnsupportedStrategies) {
   auto tree = RTree::Create(&pool);
   ASSERT_TRUE(tree.ok());
   const std::vector<Entry> entries = SeededEntries(9, 10);
-  for (const PackStrategy s :
-       {PackStrategy::kNearestNeighbor, PackStrategy::kStr}) {
-    VectorEntrySource source(&entries);
-    const Status status =
-        PackExternal(&*tree, &source, ExternalOptions(s, 1 << 16));
-    EXPECT_EQ(status.code(), StatusCode::kNotSupported) << status.ToString();
-  }
+  VectorEntrySource source(&entries);
+  const Status status =
+      PackExternal(&*tree, &source,
+                   ExternalOptions(PackStrategy::kNearestNeighbor, 1 << 16));
+  EXPECT_EQ(status.code(), StatusCode::kNotSupported) << status.ToString();
+  // Pack() with a budget reaches the same refusal.
+  PackOptions budgeted;
+  budgeted.memory_budget_bytes = 1 << 16;
+  EXPECT_EQ(Pack(&*tree, entries, budgeted).code(), StatusCode::kNotSupported);
   EXPECT_EQ(tree->Size(), 0u);
 }
 

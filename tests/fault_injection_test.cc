@@ -66,7 +66,7 @@ std::unique_ptr<RTree> BuildTree(BufferPool* pool, size_t n,
   PICTDB_CHECK(tree.ok());
   auto owned = std::make_unique<RTree>(std::move(tree).value());
   PICTDB_CHECK_OK(
-      pack::PackNearestNeighbor(owned.get(), pack::MakeLeafEntries(*points, rids)));
+      pack::Pack(owned.get(), pack::MakeLeafEntries(*points, rids)));
   return owned;
 }
 

@@ -279,7 +279,7 @@ TEST(FuzzLiteTest, SeededFrameFuzzerNeverCrashesTheServer) {
   ASSERT_TRUE(tree_or.ok());
   rtree::RTree tree = std::move(tree_or).value();
   ASSERT_TRUE(
-      pack::PackNearestNeighbor(&tree, pack::MakeLeafEntries(points, rids))
+      pack::Pack(&tree, pack::MakeLeafEntries(points, rids))
           .ok());
   service::QueryService service(&tree, /*executor=*/nullptr);
 

@@ -8,7 +8,6 @@
 #include "geom/geometry.h"
 #include "pack/pack.h"
 #include "pack/repack.h"
-#include "pack/str.h"
 #include "rtree/join.h"
 #include "rtree/knn.h"
 #include "rtree/node.h"
@@ -54,13 +53,13 @@ std::vector<Entry> SeededEntries(uint64_t seed, size_t n) {
 }
 
 template <typename BuildFn>
-DiskImage BuildImage(uint64_t seed, size_t n, const BuildFn& build) {
+DiskImage BuildImage(const std::vector<Entry>& entries, const BuildFn& build) {
   storage::InMemoryDiskManager disk(512);
   storage::BufferPool pool(&disk, 8192);
   auto created = RTree::Create(&pool);
   PICTDB_CHECK(created.ok());
   RTree tree = std::move(created).value();
-  build(&tree, SeededEntries(seed, n));
+  build(&tree, entries);
   PICTDB_CHECK_OK(pool.FlushAll());
 
   DiskImage image;
@@ -77,25 +76,27 @@ DiskImage BuildImage(uint64_t seed, size_t n, const BuildFn& build) {
 // replayable reproducers and the fault injector's seeded schedules both
 // assume that the same build sequence yields the same bytes on disk.
 
-TEST(GoldenDeterminismTest, PackNearestNeighborIsByteIdentical) {
+TEST(GoldenDeterminismTest, NearestNeighborPackIsByteIdentical) {
   auto build = [](RTree* tree, const std::vector<Entry>& entries) {
-    PICTDB_CHECK_OK(PackNearestNeighbor(tree, entries));
+    PICTDB_CHECK_OK(Pack(tree, entries));
   };
-  const DiskImage a = BuildImage(71, 1000, build);
-  const DiskImage b = BuildImage(71, 1000, build);
+  const DiskImage a = BuildImage(SeededEntries(71, 1000), build);
+  const DiskImage b = BuildImage(SeededEntries(71, 1000), build);
   ASSERT_GT(a.pages.size(), 1u);
   EXPECT_TRUE(a == b);
 
   // Different seed, different bytes — the comparison is not vacuous.
-  const DiskImage c = BuildImage(72, 1000, build);
+  const DiskImage c = BuildImage(SeededEntries(72, 1000), build);
   EXPECT_FALSE(a == c);
 }
 
-TEST(GoldenDeterminismTest, PackSortChunkIsByteIdentical) {
+TEST(GoldenDeterminismTest, SortChunkPackIsByteIdentical) {
   auto build = [](RTree* tree, const std::vector<Entry>& entries) {
-    PICTDB_CHECK_OK(PackSortChunk(tree, entries));
+    PICTDB_CHECK_OK(
+        Pack(tree, entries, {.strategy = PackStrategy::kSortChunk}));
   };
-  EXPECT_TRUE(BuildImage(73, 800, build) == BuildImage(73, 800, build));
+  EXPECT_TRUE(BuildImage(SeededEntries(73, 800), build) ==
+              BuildImage(SeededEntries(73, 800), build));
 }
 
 TEST(GoldenDeterminismTest, InsertThenRepackIsByteIdentical) {
@@ -105,7 +106,8 @@ TEST(GoldenDeterminismTest, InsertThenRepackIsByteIdentical) {
     }
     PICTDB_CHECK_OK(Repack(tree));
   };
-  EXPECT_TRUE(BuildImage(74, 500, build) == BuildImage(74, 500, build));
+  EXPECT_TRUE(BuildImage(SeededEntries(74, 500), build) ==
+              BuildImage(SeededEntries(74, 500), build));
 }
 
 // --- Query-path determinism across kernel families -------------------------
@@ -145,7 +147,7 @@ TEST(GoldenDeterminismTest, SimdAndScalarSearchesAreIdentical) {
   auto created = RTree::Create(&pool);
   PICTDB_CHECK(created.ok());
   RTree tree = std::move(created).value();
-  PICTDB_CHECK_OK(PackNearestNeighbor(&tree, SeededEntries(81, 2000)));
+  PICTDB_CHECK_OK(Pack(&tree, SeededEntries(81, 2000)));
 
   const std::vector<geom::Rect> windows = SeededWindows(82, 64);
   for (const geom::Rect& window : windows) {
@@ -181,7 +183,7 @@ TEST(GoldenDeterminismTest, BatchSearchMatchesSingleWindowSearches) {
   auto created = RTree::Create(&pool);
   PICTDB_CHECK(created.ok());
   RTree tree = std::move(created).value();
-  PICTDB_CHECK_OK(PackNearestNeighbor(&tree, SeededEntries(83, 2000)));
+  PICTDB_CHECK_OK(Pack(&tree, SeededEntries(83, 2000)));
 
   const std::vector<geom::Rect> windows = SeededWindows(84, 48);
   for (const bool contained : {false, true}) {
@@ -208,17 +210,17 @@ TEST(GoldenDeterminismTest, SoaDecodeLeavesDiskImageUnchanged) {
   // write. Also the stronger cross-property: the image equals the one
   // BuildImage produces for the identical build sequence.
   auto build = [](RTree* tree, const std::vector<Entry>& entries) {
-    PICTDB_CHECK_OK(PackNearestNeighbor(tree, entries));
+    PICTDB_CHECK_OK(Pack(tree, entries));
   };
   auto build_and_query = [](RTree* tree, const std::vector<Entry>& entries) {
-    PICTDB_CHECK_OK(PackNearestNeighbor(tree, entries));
+    PICTDB_CHECK_OK(Pack(tree, entries));
     for (const geom::Rect& window : SeededWindows(86, 32)) {
       PICTDB_CHECK(tree->SearchIntersects(window).ok());
       PICTDB_CHECK(tree->SearchBatch({&window, 1}, false).ok());
     }
   };
-  EXPECT_TRUE(BuildImage(85, 1200, build) ==
-              BuildImage(85, 1200, build_and_query));
+  EXPECT_TRUE(BuildImage(SeededEntries(85, 1200), build) ==
+              BuildImage(SeededEntries(85, 1200), build_and_query));
 }
 
 // Node::Mbr() is documented as recompute-per-call; traversal hot paths
@@ -230,7 +232,7 @@ TEST(GoldenDeterminismTest, SearchPathsDoNotRecomputeNodeMbrs) {
   auto created = RTree::Create(&pool);
   PICTDB_CHECK(created.ok());
   RTree tree = std::move(created).value();
-  PICTDB_CHECK_OK(PackNearestNeighbor(&tree, SeededEntries(87, 2000)));
+  PICTDB_CHECK_OK(Pack(&tree, SeededEntries(87, 2000)));
 
   const uint64_t before = rtree::MbrComputeCountForTesting();
   for (const geom::Rect& window : SeededWindows(88, 32)) {
@@ -336,7 +338,7 @@ class GoldenSequenceTest : public ::testing::Test {
     auto created = RTree::Create(&pool_);
     PICTDB_CHECK(created.ok());
     auto tree = std::make_unique<RTree>(std::move(created).value());
-    PICTDB_CHECK_OK(PackNearestNeighbor(tree.get(), entries));
+    PICTDB_CHECK_OK(Pack(tree.get(), entries));
     return tree;
   }
 
@@ -504,6 +506,101 @@ TEST_F(GoldenSequenceTest, WholeTreeWalks) {
     for (const geom::Rect& r : *mbrs) d.Add(r);
   }
   ExpectDigest("walks", d, 0x79a1257909de50ffull);
+}
+
+// --- Golden pack images ----------------------------------------------------
+//
+// Every packer configuration builds an in-memory tree whose raw disk
+// image is folded into a fixed digest: any change to the node order,
+// the grouping or the page allocation of a bulk load shows up here.
+
+uint64_t ImageDigest(const DiskImage& image) {
+  SequenceDigest d;
+  d.Add(static_cast<uint64_t>(image.pages.size()));
+  for (const std::vector<char>& page : image.pages) {
+    for (size_t i = 0; i + 8 <= page.size(); i += 8) {
+      uint64_t word;
+      std::memcpy(&word, page.data() + i, sizeof(word));
+      d.Add(word);
+    }
+  }
+  return d.value();
+}
+
+TEST(GoldenDeterminismTest, PackImageDigests) {
+  storage::InMemoryDiskManager probe_disk(512);
+  storage::BufferPool probe_pool(&probe_disk, 16);
+  auto probe = RTree::Create(&probe_pool);
+  ASSERT_TRUE(probe.ok());
+  const size_t b = probe->options().max_entries;
+  const size_t sizes[] = {1, b, b + 1, 3000};
+
+  const struct {
+    const char* name;
+    PackStrategy strategy;
+    SortCriterion criterion;
+  } kConfigs[] = {
+      {"nn-x", PackStrategy::kNearestNeighbor, SortCriterion::kAscendingX},
+      {"nn-y", PackStrategy::kNearestNeighbor, SortCriterion::kAscendingY},
+      {"nn-hilbert", PackStrategy::kNearestNeighbor, SortCriterion::kHilbert},
+      {"chunk-x", PackStrategy::kSortChunk, SortCriterion::kAscendingX},
+      {"chunk-y", PackStrategy::kSortChunk, SortCriterion::kAscendingY},
+      {"chunk-hilbert", PackStrategy::kSortChunk, SortCriterion::kHilbert},
+      {"str", PackStrategy::kStr, SortCriterion::kAscendingX},
+  };
+  // Rows: each config with point inputs, then with rect inputs.
+  // Columns: n = 1, B, B+1, 3000.
+  const uint64_t kGolden[14][4] = {
+      {0x401c970ede12c25c, 0x920f560386190d8b, 0x3bc190b4104157d2,
+       0x5748a84dd1a2cb08},  // nn-x points
+      {0x28628b95f97b2719, 0x096838bea34729af, 0xe32a12adc8093f44,
+       0x2d4fd70a2efdb045},  // nn-x rects
+      {0x401c970ede12c25c, 0x70268547c47ec9f7, 0x89e90ba33eb375b7,
+       0x819f2f76a903ff6e},  // nn-y points
+      {0x28628b95f97b2719, 0x1dbb9784f82eec88, 0x8ec99d30cd7ce201,
+       0x2c2269ab0db4b50c},  // nn-y rects
+      {0x401c970ede12c25c, 0x70268547c47ec9f7, 0x89e90ba33eb375b7,
+       0x44df63a953222cc7},  // nn-hilbert points
+      {0x28628b95f97b2719, 0x1dbb9784f82eec88, 0x7c209cd938fa2568,
+       0x50db9eb63fe6f82e},  // nn-hilbert rects
+      {0x401c970ede12c25c, 0x0923e56b8cf7bf80, 0xb193335ae9566605,
+       0x0c2a6cd9e37d089d},  // chunk-x points
+      {0x28628b95f97b2719, 0x34cbffc4e65a587e, 0x8c5ec91f1c1f14a1,
+       0x2d07699ff5c286fc},  // chunk-x rects
+      {0x401c970ede12c25c, 0x10b53807c78f685e, 0x0ef175d549a14ff6,
+       0x55823b2ffb28e585},  // chunk-y points
+      {0x28628b95f97b2719, 0x1d1f612b182b90bc, 0xf060c9b6c0b2f32e,
+       0xb4e43012e41cfbb0},  // chunk-y rects
+      {0x401c970ede12c25c, 0xbd34e7825590e8aa, 0x2f75ea3c57957234,
+       0x6b0c04b7b7ad22dc},  // chunk-hilbert points
+      {0x28628b95f97b2719, 0xaad4c2a2c3ce5d45, 0x2c18c7668e92af43,
+       0xe101fe60eefbf985},  // chunk-hilbert rects
+      {0x401c970ede12c25c, 0x10b53807c78f685e, 0x0ef175d549a14ff6,
+       0xe7ab346ead2e2de5},  // str points
+      {0x28628b95f97b2719, 0x1d1f612b182b90bc, 0xf060c9b6c0b2f32e,
+       0x6d5efd35b88a85f6},  // str rects
+  };
+
+  for (size_t c = 0; c < std::size(kConfigs); ++c) {
+    for (const bool rects : {false, true}) {
+      for (size_t s = 0; s < std::size(sizes); ++s) {
+        const std::vector<Entry> entries = rects
+                                               ? SeededRects(102, sizes[s], 8.0)
+                                               : SeededEntries(101, sizes[s]);
+        PackOptions options;
+        options.strategy = kConfigs[c].strategy;
+        options.criterion = kConfigs[c].criterion;
+        const DiskImage image =
+            BuildImage(entries, [&](RTree* tree, const std::vector<Entry>& e) {
+              PICTDB_CHECK_OK(Pack(tree, e, options));
+            });
+        const uint64_t digest = ImageDigest(image);
+        EXPECT_EQ(digest, kGolden[2 * c + (rects ? 1 : 0)][s])
+            << kConfigs[c].name << (rects ? " rects" : " points")
+            << " n=" << sizes[s] << ": got 0x" << std::hex << digest;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -118,8 +118,8 @@ TEST(HistogramTest, ServiceRecordsPerVariantLatency) {
   for (size_t i = 0; i < points.size(); ++i) {
     rids.push_back(storage::Rid{static_cast<storage::PageId>(i), 0});
   }
-  ASSERT_TRUE(pack::PackSortChunk(&tree.value(),
-                                  pack::MakeLeafEntries(points, rids))
+  ASSERT_TRUE(pack::Pack(&tree.value(), pack::MakeLeafEntries(points, rids),
+                         {.strategy = pack::PackStrategy::kSortChunk})
                   .ok());
 
   QueryService svc(&tree.value(), nullptr);

@@ -138,7 +138,7 @@ TEST(IntegrationTest, PackedTreePersistsAcrossReopen) {
     for (size_t i = 0; i < pts.size(); ++i) {
       rids.push_back(Rid{static_cast<PageId>(i), 0});
     }
-    ASSERT_TRUE(pack::PackNearestNeighbor(
+    ASSERT_TRUE(pack::Pack(
                     &*tree, pack::MakeLeafEntries(pts, rids))
                     .ok());
     ASSERT_TRUE(pool.FlushAll().ok());

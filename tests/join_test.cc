@@ -34,7 +34,7 @@ RTree MakeTree(Env* env, const std::vector<Rect>& rects, bool packed,
     for (size_t i = 0; i < rects.size(); ++i) {
       rids.push_back(Rid{static_cast<storage::PageId>(i), 0});
     }
-    PICTDB_CHECK_OK(pack::PackNearestNeighbor(
+    PICTDB_CHECK_OK(pack::Pack(
         &*tree, pack::MakeLeafEntries(rects, rids)));
   } else {
     for (size_t i = 0; i < rects.size(); ++i) {

@@ -39,7 +39,7 @@ RTree MakeTree(Env* env, const std::vector<Point>& pts, bool packed) {
     rids.push_back(Rid{static_cast<storage::PageId>(i), 0});
   }
   if (packed) {
-    PICTDB_CHECK_OK(pack::PackNearestNeighbor(
+    PICTDB_CHECK_OK(pack::Pack(
         &*tree, pack::MakeLeafEntries(pts, rids)));
   } else {
     for (size_t i = 0; i < pts.size(); ++i) {

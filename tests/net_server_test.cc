@@ -60,7 +60,7 @@ class NetServerTest : public ::testing::Test {
     auto tree = rtree::RTree::Create(&pool_);
     PICTDB_CHECK(tree.ok());
     tree_ = std::make_unique<rtree::RTree>(std::move(tree).value());
-    PICTDB_CHECK_OK(pack::PackNearestNeighbor(
+    PICTDB_CHECK_OK(pack::Pack(
         tree_.get(), pack::MakeLeafEntries(points_, rids)));
 
     // Overlay tree of small regions (not points — a point-point join
@@ -82,7 +82,7 @@ class NetServerTest : public ::testing::Test {
     auto overlay = rtree::RTree::Create(&pool_);
     PICTDB_CHECK(overlay.ok());
     overlay_ = std::make_unique<rtree::RTree>(std::move(overlay).value());
-    PICTDB_CHECK_OK(pack::PackNearestNeighbor(
+    PICTDB_CHECK_OK(pack::Pack(
         overlay_.get(),
         pack::MakeLeafEntries(overlay_rects, overlay_rids)));
 

@@ -6,13 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <memory>
 #include <set>
 #include <tuple>
 
 #include "common/random.h"
-#include "pack/hilbert.h"
 #include "pack/pack.h"
-#include "pack/str.h"
 #include "rtree/metrics.h"
 #include "rtree/rtree.h"
 #include "storage/buffer_pool.h"
@@ -33,23 +34,62 @@ using storage::Rid;
 enum class BuilderKind { kNN, kLowX, kStr, kHilbert, kNNHilbertOrder };
 enum class DataKind { kUniform, kClustered, kSkewed, kRects };
 
-Status Build(BuilderKind kind, RTree* tree, std::vector<Entry> items) {
+PackOptions Packer(BuilderKind kind) {
   switch (kind) {
     case BuilderKind::kNN:
-      return PackNearestNeighbor(tree, std::move(items));
+      return {};
     case BuilderKind::kLowX:
-      return PackSortChunk(tree, std::move(items));
+      return {.strategy = PackStrategy::kSortChunk};
     case BuilderKind::kStr:
-      return PackStr(tree, std::move(items));
+      return {.strategy = PackStrategy::kStr};
     case BuilderKind::kHilbert:
-      return PackHilbert(tree, std::move(items));
-    case BuilderKind::kNNHilbertOrder: {
-      PackOptions options;
-      options.criterion = SortCriterion::kHilbert;
-      return PackNearestNeighbor(tree, std::move(items), options);
-    }
+      return {.criterion = SortCriterion::kHilbert,
+              .strategy = PackStrategy::kSortChunk};
+    case BuilderKind::kNNHilbertOrder:
+      return {.criterion = SortCriterion::kHilbert};
   }
-  return Status::Internal("unreachable");
+  return {};
+}
+
+/// Cuts one level into nodes of at most `max` entries.
+using Grouping = std::function<std::vector<std::vector<Entry>>(
+    const std::vector<Entry>& items, size_t max)>;
+
+/// Writes a tree bottom-up, node by node, with `grouping` deciding every
+/// level's nodes: the bulk-write primitives under any grouping at all.
+Status BuildWithGrouping(RTree* tree, std::vector<Entry> items,
+                         const Grouping& grouping) {
+  const size_t max = tree->options().max_entries;
+  const uint64_t size = items.size();
+  uint16_t level = 0;
+  while (items.size() > max) {
+    std::vector<Entry> parents;
+    for (const std::vector<Entry>& node : grouping(items, max)) {
+      PICTDB_ASSIGN_OR_RETURN(const storage::PageId page,
+                              tree->BulkWriteNode(level, node));
+      Entry parent;
+      for (const Entry& e : node) parent.mbr.ExpandToInclude(e.mbr);
+      parent.payload = Entry::PayloadFromChild(page);
+      parents.push_back(parent);
+    }
+    items = std::move(parents);
+    ++level;
+  }
+  PICTDB_ASSIGN_OR_RETURN(const storage::PageId root,
+                          tree->BulkWriteNode(level, items));
+  return tree->BulkSetRoot(root, level + 1u, size);
+}
+
+/// The deliberately naive grouping: chunks in input order, with no
+/// spatial grouping at all.
+std::vector<std::vector<Entry>> ChunkInInputOrder(
+    const std::vector<Entry>& items, size_t max) {
+  std::vector<std::vector<Entry>> groups;
+  for (size_t i = 0; i < items.size(); i += max) {
+    groups.emplace_back(items.begin() + i,
+                        items.begin() + std::min(items.size(), i + max));
+  }
+  return groups;
 }
 
 std::vector<Rect> MakeData(DataKind kind, Random* rng, size_t n) {
@@ -100,7 +140,8 @@ TEST_P(PackProperty, ValidCompleteAndExact) {
   for (size_t i = 0; i < rects.size(); ++i) {
     rids.push_back(Rid{static_cast<storage::PageId>(i), 0});
   }
-  ASSERT_TRUE(Build(builder, &*tree, MakeLeafEntries(rects, rids)).ok());
+  ASSERT_TRUE(
+      Pack(&*tree, MakeLeafEntries(rects, rids), Packer(builder)).ok());
 
   // Structure.
   ASSERT_TRUE(tree->Validate().ok());
@@ -145,8 +186,8 @@ INSTANTIATE_TEST_SUITE_P(
                           DataKind::kSkewed, DataKind::kRects),
         ::testing::Values(size_t{4}, size_t{10})));
 
-/// BulkLoad accepts ANY legal grouping function: random groupings with
-/// random (valid) group sizes must still yield structurally valid,
+/// The bulk-write primitives accept ANY legal grouping: random groupings
+/// with random (valid) group sizes must still yield structurally valid,
 /// complete, exactly-searchable trees.
 class BulkLoadAnyGrouping : public ::testing::TestWithParam<int> {};
 
@@ -183,17 +224,11 @@ TEST_P(BulkLoadAnyGrouping, RandomGroupingsProduceValidTrees) {
       groups.emplace_back(shuffled.begin() + i, shuffled.begin() + i + take);
       i += take;
     }
-    // Guarantee progress: if everything landed in one group, split it.
-    if (groups.size() == 1 && groups[0].size() > max) {
-      std::vector<Entry> second(groups[0].begin() + max, groups[0].end());
-      groups[0].resize(max);
-      groups.push_back(std::move(second));
-    }
     return groups;
   };
 
   ASSERT_TRUE(
-      pack::BulkLoad(&*tree, MakeLeafEntries(pts, rids), grouping).ok());
+      BuildWithGrouping(&*tree, MakeLeafEntries(pts, rids), grouping).ok());
   ASSERT_TRUE(tree->Validate().ok());
   EXPECT_EQ(tree->Size(), pts.size());
 
@@ -240,7 +275,7 @@ TEST_P(CoverageClaim, PackSmallerShallowterAndTighterThanNaive) {
   auto packed = RTree::Create(&pool, opts);
   ASSERT_TRUE(packed.ok());
   ASSERT_TRUE(
-      PackNearestNeighbor(&*packed, MakeLeafEntries(pts, rids)).ok());
+      Pack(&*packed, MakeLeafEntries(pts, rids)).ok());
 
   auto dynamic = RTree::Create(&pool, opts);
   ASSERT_TRUE(dynamic.ok());
@@ -258,17 +293,8 @@ TEST_P(CoverageClaim, PackSmallerShallowterAndTighterThanNaive) {
   // points chunked in (shuffled) input order and compare coverage.
   auto naive = RTree::Create(&pool, opts);
   ASSERT_TRUE(naive.ok());
-  ASSERT_TRUE(pack::BulkLoad(
-                  &*naive, MakeLeafEntries(pts, rids),
-                  [](const std::vector<Entry>& items, size_t max) {
-                    std::vector<std::vector<Entry>> groups;
-                    for (size_t i = 0; i < items.size(); i += max) {
-                      const size_t end = std::min(items.size(), i + max);
-                      groups.emplace_back(items.begin() + i,
-                                          items.begin() + end);
-                    }
-                    return groups;
-                  })
+  ASSERT_TRUE(BuildWithGrouping(&*naive, MakeLeafEntries(pts, rids),
+                                ChunkInInputOrder)
                   .ok());
   auto nq = rtree::MeasureTree(*naive);
   ASSERT_TRUE(nq.ok());

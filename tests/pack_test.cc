@@ -4,13 +4,13 @@
 #include <iterator>
 #include <limits>
 #include <set>
+#include <tuple>
 
 #include "check/invariants.h"
 #include "common/random.h"
 #include "pack/hilbert.h"
 #include "pack/nn_grid.h"
 #include "pack/pack.h"
-#include "pack/str.h"
 #include "rtree/metrics.h"
 #include "rtree/rtree.h"
 #include "storage/buffer_pool.h"
@@ -41,6 +41,16 @@ void ExpectValidTree(const RTree& tree) {
       check::TreeValidator().Check(tree);
   EXPECT_TRUE(report.ok()) << report.ToString();
 }
+
+/// One packer per strategy family: the paper's PACK, sort-chunk ("lowx"),
+/// STR, and sort-chunk with the Hilbert criterion.
+const PackOptions kPackers[] = {
+    {},
+    {.strategy = PackStrategy::kSortChunk},
+    {.strategy = PackStrategy::kStr},
+    {.criterion = SortCriterion::kHilbert,
+     .strategy = PackStrategy::kSortChunk},
+};
 
 std::vector<Entry> PointItems(const std::vector<Point>& pts) {
   std::vector<Rid> rids;
@@ -127,8 +137,7 @@ TEST(GroupingTest, NearestNeighborGroupsAreFullExceptLast) {
   Random rng(7);
   const auto pts = workload::UniformPoints(&rng, 103,
                                            workload::PaperFrame());
-  const auto groups = GroupNearestNeighbor(PointItems(pts), 4,
-                                           SortCriterion::kAscendingX);
+  const auto groups = Group(PointItems(pts), 4, PackOptions{});
   ASSERT_EQ(groups.size(), 26u);  // ceil(103/4)
   size_t total = 0;
   for (size_t i = 0; i < groups.size(); ++i) {
@@ -144,13 +153,8 @@ TEST(GroupingTest, AllGroupersPartitionTheInput) {
   const auto pts = workload::UniformPoints(&rng, 97,
                                            workload::PaperFrame());
   const auto items = PointItems(pts);
-  const std::vector<std::vector<std::vector<Entry>>> all = {
-      GroupNearestNeighbor(items, 8, SortCriterion::kAscendingX),
-      GroupSortChunk(items, 8, SortCriterion::kAscendingX),
-      GroupSortChunk(items, 8, SortCriterion::kHilbert),
-      GroupStr(items, 8),
-  };
-  for (const auto& groups : all) {
+  for (const PackOptions& packer : kPackers) {
+    const auto groups = Group(items, 8, packer);
     std::set<uint64_t> payloads;
     for (const auto& g : groups) {
       for (const Entry& e : g) payloads.insert(e.payload);
@@ -163,7 +167,7 @@ TEST(GroupingTest, SortChunkRespectsXOrder) {
   const std::vector<Point> pts = {{9, 0}, {1, 0}, {5, 0}, {3, 0},
                                   {7, 0}, {2, 0}, {8, 0}, {4, 0}};
   const auto groups =
-      GroupSortChunk(PointItems(pts), 4, SortCriterion::kAscendingX);
+      Group(PointItems(pts), 4, {.strategy = PackStrategy::kSortChunk});
   ASSERT_EQ(groups.size(), 2u);
   // First group holds the 4 lowest x values.
   double max_first = 0;
@@ -177,34 +181,10 @@ TEST(GroupingTest, SortChunkRespectsXOrder) {
 
 // --- Builders produce valid, complete, searchable trees --------------------------
 
-using Builder = Status (*)(RTree*, std::vector<Entry>);
-
-Status BuildNN(RTree* t, std::vector<Entry> items) {
-  return PackNearestNeighbor(t, std::move(items));
-}
-Status BuildLowX(RTree* t, std::vector<Entry> items) {
-  return PackSortChunk(t, std::move(items));
-}
-Status BuildStr(RTree* t, std::vector<Entry> items) {
-  return PackStr(t, std::move(items));
-}
-Status BuildHilbert(RTree* t, std::vector<Entry> items) {
-  return PackHilbert(t, std::move(items));
-}
-
 class PackBuilders : public ::testing::TestWithParam<int> {
  protected:
-  Builder builder() const {
-    switch (GetParam()) {
-      case 0:
-        return BuildNN;
-      case 1:
-        return BuildLowX;
-      case 2:
-        return BuildStr;
-      default:
-        return BuildHilbert;
-    }
+  Status Build(RTree* tree, const std::vector<Entry>& items) const {
+    return Pack(tree, items, kPackers[GetParam()]);
   }
 };
 
@@ -217,7 +197,7 @@ TEST_P(PackBuilders, BuildsValidTreeWithAllEntries) {
   Random rng(97);
   const auto pts = workload::UniformPoints(&rng, 217,
                                            workload::PaperFrame());
-  ASSERT_TRUE(builder()(&*tree, PointItems(pts)).ok());
+  ASSERT_TRUE(Build(&*tree, PointItems(pts)).ok());
   EXPECT_EQ(tree->Size(), 217u);
   ASSERT_TRUE(tree->Validate().ok());
   ExpectValidTree(*tree);
@@ -246,7 +226,7 @@ TEST_P(PackBuilders, HandlesTinyInputs) {
     Random rng(1234 + n);
     const auto pts =
         workload::UniformPoints(&rng, n, workload::PaperFrame());
-    ASSERT_TRUE(builder()(&*tree, PointItems(pts)).ok()) << "n=" << n;
+    ASSERT_TRUE(Build(&*tree, PointItems(pts)).ok()) << "n=" << n;
     EXPECT_EQ(tree->Size(), n);
     ASSERT_TRUE(tree->Validate().ok()) << "n=" << n;
     ExpectValidTree(*tree);
@@ -261,7 +241,7 @@ TEST_P(PackBuilders, RejectsNonEmptyTarget) {
   Random rng(7);
   const auto pts = workload::UniformPoints(&rng, 10,
                                            workload::PaperFrame());
-  EXPECT_FALSE(builder()(&*tree, PointItems(pts)).ok());
+  EXPECT_FALSE(Build(&*tree, PointItems(pts)).ok());
 }
 
 TEST_P(PackBuilders, PackedTreeSupportsLaterUpdates) {
@@ -275,7 +255,7 @@ TEST_P(PackBuilders, PackedTreeSupportsLaterUpdates) {
   Random rng(55);
   const auto pts = workload::UniformPoints(&rng, 100,
                                            workload::PaperFrame());
-  ASSERT_TRUE(builder()(&*tree, PointItems(pts)).ok());
+  ASSERT_TRUE(Build(&*tree, PointItems(pts)).ok());
 
   // Insert 30 new points.
   const auto extra = workload::UniformPoints(&rng, 30,
@@ -323,7 +303,7 @@ TEST(PackQualityTest, PackBeatsInsertOnUniformPoints) {
 
   auto packed = RTree::Create(&env.pool, opts);
   ASSERT_TRUE(packed.ok());
-  ASSERT_TRUE(PackNearestNeighbor(&*packed, PointItems(pts)).ok());
+  ASSERT_TRUE(Pack(&*packed, PointItems(pts)).ok());
 
   auto dynamic = RTree::Create(&env.pool, opts);
   ASSERT_TRUE(dynamic.ok());
@@ -372,7 +352,7 @@ TEST(PackQualityTest, PackedNodesAreFull) {
   Random rng(600);
   const auto pts = workload::UniformPoints(&rng, 256,
                                            workload::PaperFrame());
-  ASSERT_TRUE(PackNearestNeighbor(&*tree, PointItems(pts)).ok());
+  ASSERT_TRUE(Pack(&*tree, PointItems(pts)).ok());
   // 256 = 4^4: every node is exactly full and the tree is a perfect
   // 4-ary tree of height 4 with 64+16+4+1 = 85 nodes.
   EXPECT_EQ(tree->Height(), 4u);
@@ -413,23 +393,6 @@ TEST(HilbertTest, ConsecutiveValuesAreAdjacentCells) {
 
 // --- adversarial inputs (mirrors the SIMD kernel suite) -----------------------
 
-using BuilderFn = Status (*)(RTree*, std::vector<Entry>);
-
-const BuilderFn kAllBuilders[] = {
-    [](RTree* t, std::vector<Entry> items) {
-      return PackNearestNeighbor(t, std::move(items));
-    },
-    [](RTree* t, std::vector<Entry> items) {
-      return PackSortChunk(t, std::move(items));
-    },
-    [](RTree* t, std::vector<Entry> items) {
-      return PackStr(t, std::move(items));
-    },
-    [](RTree* t, std::vector<Entry> items) {
-      return PackHilbert(t, std::move(items));
-    },
-};
-
 std::vector<Entry> ValidItems(size_t n) {
   Random rng(99);
   return PointItems(workload::UniformPoints(&rng, n, workload::PaperFrame()));
@@ -461,21 +424,21 @@ TEST(PackValidationTest, EveryBuilderRejectsNonFiniteAndEmptyMbrs) {
       {"inverted", raw(5, 5, 1, 1)},
       {"default_empty", Rect()},
   };
-  for (size_t b = 0; b < std::size(kAllBuilders); ++b) {
+  for (size_t b = 0; b < std::size(kPackers); ++b) {
     for (const auto& bad : kBad) {
       Env env;
       auto tree = RTree::Create(&env.pool);
       ASSERT_TRUE(tree.ok());
       std::vector<Entry> items = ValidItems(20);
       items[7].mbr = bad.mbr;
-      const Status status = kAllBuilders[b](&*tree, std::move(items));
+      const Status status = Pack(&*tree, items, kPackers[b]);
       EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
           << "builder " << b << " input " << bad.name << ": "
           << status.ToString();
       // Rejected before any mutation: the tree is still empty and packs
       // cleanly afterwards.
       EXPECT_EQ(tree->Size(), 0u);
-      ASSERT_TRUE(kAllBuilders[b](&*tree, ValidItems(20)).ok());
+      ASSERT_TRUE(Pack(&*tree, ValidItems(20), kPackers[b]).ok());
       ExpectValidTree(*tree);
     }
   }
@@ -485,26 +448,26 @@ TEST(PackValidationTest, AllEmptyRectsRejectedNotUndefined) {
   // Before validation existed, an all-empty input left the Hilbert frame
   // inverted: HilbertValue computed inf - inf = NaN and fed an undefined
   // NaN→uint32 cast inside std::clamp.
-  for (size_t b = 0; b < std::size(kAllBuilders); ++b) {
+  for (size_t b = 0; b < std::size(kPackers); ++b) {
     Env env;
     auto tree = RTree::Create(&env.pool);
     ASSERT_TRUE(tree.ok());
-    std::vector<Entry> items(10);  // default Entry: empty (inverted) Rect
-    const Status status = kAllBuilders[b](&*tree, std::move(items));
+    const std::vector<Entry> items(10);  // default Entry: empty Rect
+    const Status status = Pack(&*tree, items, kPackers[b]);
     EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << "builder " << b;
   }
 }
 
 TEST(PackValidationTest, DenormalCoordinatesPackFine) {
   constexpr double kDenorm = std::numeric_limits<double>::denorm_min();
-  for (size_t b = 0; b < std::size(kAllBuilders); ++b) {
+  for (size_t b = 0; b < std::size(kPackers); ++b) {
     Env env;
     auto tree = RTree::Create(&env.pool);
     ASSERT_TRUE(tree.ok());
     std::vector<Entry> items = ValidItems(30);
     items[3].mbr = Rect(-kDenorm, -kDenorm, kDenorm, kDenorm);
     items[4].mbr = Rect(kDenorm, kDenorm, 2 * kDenorm, 2 * kDenorm);
-    ASSERT_TRUE(kAllBuilders[b](&*tree, std::move(items)).ok())
+    ASSERT_TRUE(Pack(&*tree, items, kPackers[b]).ok())
         << "builder " << b;
     EXPECT_EQ(tree->Size(), 30u);
     ExpectValidTree(*tree);
@@ -534,15 +497,15 @@ TEST(PackValidationTest, MonotoneBitsIsOrderPreserving) {
 }
 
 // Keys must be materialized once per entry, not recomputed inside the
-// sort comparator (the old PackHilbert paid O(n log n) curve walks).
+// sort comparator (O(n log n) curve walks).
 TEST(PackKeyMaterializationTest, HilbertValueComputedAtMostTwicePerEntry) {
   Env env;
   auto tree = RTree::Create(&env.pool);
   ASSERT_TRUE(tree.ok());
   const size_t n = 2000;
-  std::vector<Entry> items = ValidItems(n);
+  const std::vector<Entry> items = ValidItems(n);
   const uint64_t before = HilbertValueComputeCountForTesting();
-  ASSERT_TRUE(PackHilbert(&*tree, std::move(items)).ok());
+  ASSERT_TRUE(Pack(&*tree, items, kPackers[3]).ok());
   const uint64_t computes = HilbertValueComputeCountForTesting() - before;
   // One key per leaf entry plus one per upper-level entry (a geometric
   // tail of n/B); 2n is a generous ceiling, n log n is far above it.
@@ -557,7 +520,6 @@ TEST(PackDispatcherTest, StrategySelectsPacker) {
       PackStrategy::kNearestNeighbor,
       PackStrategy::kSortChunk,
       PackStrategy::kStr,
-      PackStrategy::kHilbert,
   };
   for (const PackStrategy s : strategies) {
     Env env;
@@ -571,21 +533,31 @@ TEST(PackDispatcherTest, StrategySelectsPacker) {
   }
 }
 
-TEST(PackDispatcherTest, HilbertStrategyMatchesPackHilbert) {
-  Env a_env, b_env;
-  auto a = RTree::Create(&a_env.pool);
-  auto b = RTree::Create(&b_env.pool);
-  ASSERT_TRUE(a.ok() && b.ok());
-  PackOptions options;
-  options.strategy = PackStrategy::kHilbert;
-  ASSERT_TRUE(Pack(&*a, ValidItems(300), options).ok());
-  ASSERT_TRUE(PackHilbert(&*b, ValidItems(300)).ok());
-  EXPECT_EQ(a->Size(), b->Size());
-  EXPECT_EQ(a->Height(), b->Height());
-  auto na = a->CountNodes();
-  auto nb = b->CountNodes();
-  ASSERT_TRUE(na.ok() && nb.ok());
-  EXPECT_EQ(*na, *nb);
+// Group() is exactly the leaf level Pack() writes, for every strategy.
+TEST(PackDispatcherTest, GroupMatchesPackedLeafLevel) {
+  const auto by_corners = [](const Rect& a, const Rect& b) {
+    return std::tie(a.lo.x, a.lo.y, a.hi.x, a.hi.y) <
+           std::tie(b.lo.x, b.lo.y, b.hi.x, b.hi.y);
+  };
+  const std::vector<Entry> items = ValidItems(300);
+  for (size_t b = 0; b < std::size(kPackers); ++b) {
+    Env env;
+    auto tree = RTree::Create(&env.pool);
+    ASSERT_TRUE(tree.ok());
+    ASSERT_TRUE(Pack(&*tree, items, kPackers[b]).ok());
+    auto leaves = tree->CollectNodeMbrsAtLevel(0);
+    ASSERT_TRUE(leaves.ok());
+    std::vector<Rect> grouped;
+    for (const auto& g : Group(items, tree->options().max_entries,
+                               kPackers[b])) {
+      Rect mbr;
+      for (const Entry& e : g) mbr.ExpandToInclude(e.mbr);
+      grouped.push_back(mbr);
+    }
+    std::sort(leaves->begin(), leaves->end(), by_corners);
+    std::sort(grouped.begin(), grouped.end(), by_corners);
+    EXPECT_EQ(*leaves, grouped) << "packer " << b;
+  }
 }
 
 TEST(HilbertTest, ValueMapsFrameCorners) {

@@ -240,11 +240,14 @@ TEST(RelationTest, SpatialIndexPackedAndMaintained) {
   EXPECT_TRUE((*index)->SearchPoint(Point{555, 5})->empty());
 }
 
-TEST(RelationTest, SpatialLoaderVariants) {
-  for (const auto loader :
-       {Relation::SpatialLoader::kPack, Relation::SpatialLoader::kStr,
-        Relation::SpatialLoader::kHilbert,
-        Relation::SpatialLoader::kInsert}) {
+TEST(RelationTest, SpatialIndexPackerVariants) {
+  const pack::PackOptions kPackers[] = {
+      {},
+      {.strategy = pack::PackStrategy::kStr},
+      {.criterion = pack::SortCriterion::kHilbert,
+       .strategy = pack::PackStrategy::kSortChunk},
+  };
+  for (const pack::PackOptions& packer : kPackers) {
     Env env;
     auto rel = Relation::Create(&env.pool, "cities", CitySchema());
     ASSERT_TRUE(rel.ok());
@@ -256,7 +259,7 @@ TEST(RelationTest, SpatialLoaderVariants) {
     rtree::RTreeOptions opts;
     opts.max_entries = 4;
     opts.min_entries = 2;
-    ASSERT_TRUE(rel->CreateSpatialIndex("loc", opts, loader).ok());
+    ASSERT_TRUE(rel->CreateSpatialIndex("loc", opts, packer).ok());
     auto index = rel->SpatialIndex("loc");
     ASSERT_TRUE(index.ok());
     EXPECT_EQ((*index)->Size(), 25u);

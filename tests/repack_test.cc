@@ -86,7 +86,7 @@ TEST(RepackTest, RestoresPackedQualityAfterChurn) {
   std::vector<Rid> rids;
   for (size_t i = 0; i < pts.size(); ++i) rids.push_back(MakeRid(i));
   ASSERT_TRUE(
-      PackNearestNeighbor(&*tree, MakeLeafEntries(pts, rids)).ok());
+      Pack(&*tree, MakeLeafEntries(pts, rids)).ok());
   auto packed_quality = rtree::MeasureTree(*tree);
   ASSERT_TRUE(packed_quality.ok());
 
@@ -215,7 +215,7 @@ TEST(RepackPolicyTest, TriggersAtThreshold) {
   std::vector<Rid> rids;
   for (size_t i = 0; i < pts.size(); ++i) rids.push_back(MakeRid(i));
   ASSERT_TRUE(
-      PackNearestNeighbor(&*tree, MakeLeafEntries(pts, rids)).ok());
+      Pack(&*tree, MakeLeafEntries(pts, rids)).ok());
 
   RepackPolicy policy(/*threshold_fraction=*/0.25);
   EXPECT_FALSE(policy.ShouldRepack(*tree));

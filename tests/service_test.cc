@@ -58,7 +58,7 @@ class ServiceStressTest : public ::testing::Test {
     auto tree = RTree::Create(&pool_);
     PICTDB_CHECK(tree.ok());
     tree_ = std::make_unique<RTree>(std::move(tree).value());
-    PICTDB_CHECK_OK(pack::PackNearestNeighbor(
+    PICTDB_CHECK_OK(pack::Pack(
         tree_.get(), pack::MakeLeafEntries(points_, rids)));
 
     // Query mix and single-threaded oracle. kDistinct distinct queries;
@@ -308,8 +308,8 @@ TEST(ServiceJoinTest, JoinQueryCountsIntersectingPairs) {
     auto tree = RTree::Create(&pool);
     PICTDB_CHECK(tree.ok());
     auto owned = std::make_unique<RTree>(std::move(tree).value());
-    PICTDB_CHECK_OK(pack::PackSortChunk(
-        owned.get(), pack::MakeLeafEntries(pts, rids)));
+    PICTDB_CHECK_OK(pack::Pack(owned.get(), pack::MakeLeafEntries(pts, rids),
+                               {.strategy = pack::PackStrategy::kSortChunk}));
     return owned;
   };
   auto left = make_tree(1);

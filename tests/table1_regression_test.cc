@@ -65,7 +65,7 @@ TEST_P(Table1RegressionTest, PackedBeatsInsertOnEveryMeasure) {
   auto packed_created = RTree::Create(&env.pool, PaperOptions());
   PICTDB_CHECK(packed_created.ok());
   RTree packed = std::move(packed_created).value();
-  PICTDB_CHECK_OK(pack::PackNearestNeighbor(&packed, entries));
+  PICTDB_CHECK_OK(pack::Pack(&packed, entries));
 
   auto insert_created = RTree::Create(&env.pool, PaperOptions());
   PICTDB_CHECK(insert_created.ok());

@@ -183,9 +183,10 @@ TEST(WalTest, AppendSyncReopenRoundTrip) {
 }
 
 TEST(WalTest, RecordsSpanSmallPages) {
-  // 64-byte pages leave 56 payload bytes per chain page; a 57-byte
-  // insert frame never fits in one page, so every record spans.
-  InMemoryDiskManager disk(64);
+  // The smallest accepted page (88 bytes) leaves 80 payload bytes per
+  // chain page; back-to-back 57-byte insert frames keep straddling page
+  // boundaries.
+  InMemoryDiskManager disk(Wal::kMinPageSize);
   auto created = Wal::Create(&disk);
   ASSERT_TRUE(created.ok());
   Wal wal = std::move(created).value();
@@ -193,13 +194,22 @@ TEST(WalTest, RecordsSpanSmallPages) {
     ASSERT_TRUE(wal.Append(MakeInsert(i)).ok());
   }
   ASSERT_TRUE(wal.Sync().ok());
-  EXPECT_GT(wal.chain_pages(), 40u);
+  EXPECT_GE(wal.chain_pages(), 40u * 57 / 80);
 
   ScanResult scan;
   auto reopened = Wal::Open(&disk, wal.anchor_page(), &scan);
   ASSERT_TRUE(reopened.ok());
   ASSERT_EQ(scan.records.size(), 40u);
   for (uint64_t i = 0; i < 40; ++i) EXPECT_EQ(scan.records[i].lsn, i + 1);
+}
+
+TEST(WalTest, RejectsPagesTooSmallForTheAnchor) {
+  // Anchor slot 2 ends at byte 88: a 64-byte page cannot hold it.
+  InMemoryDiskManager disk(64);
+  EXPECT_TRUE(Wal::Create(&disk).status().IsInvalidArgument());
+  ScanResult scan;
+  EXPECT_TRUE(Wal::Open(&disk, 0, &scan).status().IsInvalidArgument());
+  EXPECT_EQ(disk.page_count(), 0u) << "rejected before allocating";
 }
 
 TEST(WalTest, ReopenThenAppendExtendsCommittedPrefix) {

@@ -6,12 +6,8 @@ over C++ sources and prints findings as `path:line: RULE: message`
 (the same format as tools/pictdb_lint.py). Exit status: 0 clean,
 1 findings, 2 usage/environment error.
 
-Frontends:
-  native  purpose-built parser in parse.py — hermetic, no toolchain
-          needed; this is what CI and ctest gate on.
-  clang   `clang -Xclang -ast-dump=json` bridge (clang_frontend.py),
-          cached by file content hash; advisory, requires clang.
-  auto    clang when available, else native.
+Sources are read by the purpose-built parser in parse.py: hermetic, no
+toolchain needed.
 """
 
 import argparse
@@ -21,7 +17,7 @@ import sys
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 import checkers  # noqa: E402
-import parse as native  # noqa: E402
+import parse  # noqa: E402
 from ir import Model  # noqa: E402
 
 EXTS = (".cc", ".cpp", ".cxx", ".h", ".hpp")
@@ -57,12 +53,6 @@ def main(argv=None):
     ap.add_argument("--wal-scope", default="src/wal,src/service",
                     help="comma list of path substrings where WAL-ORDER "
                          "applies (use '' to apply everywhere)")
-    ap.add_argument("--frontend", default="native",
-                    choices=("native", "clang", "auto"))
-    ap.add_argument("--compdb", default="",
-                    help="compile_commands.json for the clang frontend")
-    ap.add_argument("--cache-dir", default="",
-                    help="AST-dump cache directory (clang frontend)")
     ap.add_argument("--relative-to", default="",
                     help="print paths relative to this directory")
     ap.add_argument("--verbose", action="store_true")
@@ -74,41 +64,13 @@ def main(argv=None):
         print("analyze.py: nothing to analyze", file=sys.stderr)
         return 2
 
-    frontend = args.frontend
-    if frontend in ("clang", "auto"):
-        import clang_frontend
-        if clang_frontend.clang_available():
-            try:
-                model = clang_frontend.build_model(
-                    report_files + context_files,
-                    compdb=args.compdb, cache_dir=args.cache_dir,
-                    verbose=args.verbose)
-            except clang_frontend.FrontendError as e:
-                if frontend == "clang":
-                    print(f"analyze.py: clang frontend failed: {e}",
-                          file=sys.stderr)
-                    return 2
-                model = None
-            else:
-                frontend = "clang"
-        else:
-            if frontend == "clang":
-                print("analyze.py: clang not found (use --frontend=native)",
-                      file=sys.stderr)
-                return 2
-            model = None
-        if frontend == "auto":
-            frontend = "native"
-    if frontend == "native":
-        model = Model()
-        for path in report_files + context_files:
-            with open(path, "r", encoding="utf-8", errors="replace") as f:
-                model.add_unit(native.parse_file(path, f.read()))
-
+    model = Model()
     raw_lines = {}
     for path in report_files + context_files:
         with open(path, "r", encoding="utf-8", errors="replace") as f:
-            raw_lines[path] = f.read().splitlines()
+            text = f.read()
+        model.add_unit(parse.parse_file(path, text))
+        raw_lines[path] = text.splitlines()
 
     hierarchy = None
     if args.hierarchy:
@@ -140,7 +102,7 @@ def main(argv=None):
         print(f"{out}:{line}: {rule}: {msg}")
         shown += 1
     if args.verbose:
-        print(f"analyze.py: frontend={frontend} files="
+        print(f"analyze.py: files="
               f"{len(report_files)}+{len(context_files)} findings={shown}",
               file=sys.stderr)
     return 1 if shown else 0

@@ -1,9 +1,8 @@
-"""Normalized mini-AST shared by every analyzer frontend.
+"""Normalized mini-AST the analyzer's parser produces.
 
 The checkers in checkers.py consume this IR only — they never look at
-source text — so any frontend that can produce it (the native parser in
-parse.py, the clang -ast-dump=json bridge in clang_frontend.py) plugs
-into the same four checks. The IR is deliberately small: scopes,
+source text — so the parser in parse.py is the one place that knows
+C++ syntax. The IR is deliberately small: scopes,
 declarations, statements, calls and lambda captures are the complete
 vocabulary the pin-escape / lock-order / status-drop / WAL-order
 properties need.

@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
 # Run the pictdb semantic analyzer (DESIGN.md §15).
 #
-#   tools/analyzer/run.sh                 # src/ gate, native frontend
+#   tools/analyzer/run.sh                 # src/ gate
 #   tools/analyzer/run.sh --corpus        # seeded-bug corpus self-test
-#   tools/analyzer/run.sh --frontend=auto # use clang AST dump if present
 #   tools/analyzer/run.sh src/wal         # restrict to a subtree
 #
 # Exit status: 0 clean, 1 findings (or corpus failure), 2 setup error.
@@ -11,14 +10,12 @@ set -u
 
 repo="$(cd "$(dirname "$0")/../.." && pwd)"
 hierarchy="$repo/tools/analyzer/lock_hierarchy.txt"
-frontend="native"
 corpus=0
 paths=()
 
 for arg in "$@"; do
   case "$arg" in
     --corpus) corpus=1 ;;
-    --frontend=*) frontend="${arg#--frontend=}" ;;
     --help|-h) sed -n '2,10p' "$0" | sed 's/^# \{0,1\}//'; exit 0 ;;
     *) paths+=("$arg") ;;
   esac
@@ -30,10 +27,9 @@ if ! python3 "$repo/tools/analyzer/gen_lock_hierarchy.py" --check >/dev/null; th
 fi
 
 if [ "$corpus" -eq 1 ]; then
-  exec python3 "$repo/tests/analyzer_corpus/run_corpus.py" --frontend "$frontend"
+  exec python3 "$repo/tests/analyzer_corpus/run_corpus.py"
 fi
 
 [ "${#paths[@]}" -eq 0 ] && paths=("$repo/src")
 exec python3 "$repo/tools/analyzer/analyze.py" "${paths[@]}" \
-  --hierarchy "$hierarchy" --frontend "$frontend" \
-  --relative-to "$repo" --verbose
+  --hierarchy "$hierarchy" --relative-to "$repo" --verbose
