@@ -2,6 +2,8 @@
 #define PICTDB_BENCH_BENCH_UTIL_H_
 
 #include <memory>
+#include <optional>
+#include <string_view>
 #include <vector>
 
 #include "common/logging.h"
@@ -32,6 +34,23 @@ struct TreeEnv {
     return env;
   }
 };
+
+/// The packers by name: the paper's PACK ("nn"), sort-chunk by ascending
+/// x ("lowx") or by Hilbert value ("hilbert"), and STR ("str").
+inline std::optional<pack::PackOptions> PackerNamed(std::string_view name) {
+  if (name == "nn") return pack::PackOptions{};
+  if (name == "lowx") {
+    return pack::PackOptions{.strategy = pack::PackStrategy::kSortChunk};
+  }
+  if (name == "hilbert") {
+    return pack::PackOptions{.criterion = pack::SortCriterion::kHilbert,
+                             .strategy = pack::PackStrategy::kSortChunk};
+  }
+  if (name == "str") {
+    return pack::PackOptions{.strategy = pack::PackStrategy::kStr};
+  }
+  return std::nullopt;
+}
 
 /// Synthetic Rid for the i-th object (benchmarks do not need a real heap).
 inline storage::Rid FakeRid(size_t i) {

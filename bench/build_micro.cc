@@ -1,9 +1,11 @@
-// google-benchmark microbenchmarks: construction cost per builder. The
+// google-benchmark microbenchmarks: construction cost per builder, and
+// the page checksum every pool miss, flush and spill page pays. The
 // paper remarks that choosing groups by simultaneous MBR minimization
 // "could be combinatorially explosive" — these numbers show what the
 // practical loaders cost instead (NN packing with the grid accelerator is
 // near-linear; sort-based loaders are n log n; dynamic INSERT pays per
-// object).
+// object). BM_Crc32/<kernel> times one 4088-byte page payload through
+// each CRC-32 kernel, beside the byte-at-a-time table loop they replaced.
 //
 // `build_micro --json [objects] [--budget-mb=N] [--packer=lowx|hilbert|str]`
 // bypasses google-benchmark and runs the out-of-core loader end to end: a
@@ -18,6 +20,7 @@
 #include <sys/resource.h>
 #include <unistd.h>
 
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -30,31 +33,19 @@
 #include "common/random.h"
 #include "pack/external.h"
 #include "pack/pack.h"
+#include "simd/crc32.h"
+#include "storage/page.h"
 #include "workload/generators.h"
 
 namespace {
 
 using pictdb::Random;
 using pictdb::bench::FakeRid;
+using pictdb::bench::PackerNamed;
 using pictdb::bench::PointEntries;
 using pictdb::bench::TreeEnv;
 using pictdb::geom::Rect;
 using pictdb::pack::PackOptions;
-using pictdb::pack::PackStrategy;
-using pictdb::pack::SortCriterion;
-
-/// The packers by name: the paper's PACK ("nn"), sort-chunk by ascending
-/// x ("lowx") or by Hilbert value ("hilbert"), and STR ("str").
-std::optional<PackOptions> PackerNamed(std::string_view name) {
-  if (name == "nn") return PackOptions{};
-  if (name == "lowx") return PackOptions{.strategy = PackStrategy::kSortChunk};
-  if (name == "hilbert") {
-    return PackOptions{.criterion = SortCriterion::kHilbert,
-                       .strategy = PackStrategy::kSortChunk};
-  }
-  if (name == "str") return PackOptions{.strategy = PackStrategy::kStr};
-  return std::nullopt;
-}
 
 std::vector<pictdb::geom::Point> Points(size_t n) {
   Random rng(9000 + n);
@@ -98,6 +89,60 @@ BENCHMARK_CAPTURE(BM_BuildBulk, str, "str")->Name("BM_BuildSTR")
     ->Arg(10000)->Arg(50000)->Arg(200000)->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_BuildBulk, hilbert, "hilbert")->Name("BM_BuildHilbert")
     ->Arg(10000)->Arg(50000)->Arg(200000)->Unit(benchmark::kMillisecond);
+
+// --- Page checksum kernels ------------------------------------------------
+
+constexpr std::array<uint32_t, 256> MakeByteTable() {
+  std::array<uint32_t, 256> table{};
+  for (uint32_t b = 0; b < 256; ++b) {
+    uint32_t c = b;
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    table[b] = c;
+  }
+  return table;
+}
+
+constexpr std::array<uint32_t, 256> kByteTable = MakeByteTable();
+
+/// The byte-at-a-time table loop the library used before its kernels:
+/// the baseline the other BM_Crc32 rows are read against.
+uint32_t BytewiseUpdate(uint32_t state, const char* data, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    state = kByteTable[(state ^ static_cast<unsigned char>(data[i])) & 0xFFu] ^
+            (state >> 8);
+  }
+  return state;
+}
+
+void BM_Crc32(benchmark::State& state, std::string_view kernel_name) {
+  static constexpr pictdb::simd::Crc32Kernel kBytewise{"bytewise",
+                                                       &BytewiseUpdate};
+  const pictdb::simd::Crc32Kernel* kernel = &kBytewise;
+  if (kernel_name == "slice8") kernel = &pictdb::simd::Slice8Crc32();
+  if (kernel_name == "pclmul") kernel = pictdb::simd::PclmulCrc32();
+  if (kernel == nullptr) {
+    state.SkipWithError("kernel not available on this build or CPU");
+    return;
+  }
+  constexpr size_t kPayload =
+      pictdb::storage::kDefaultPageSize - pictdb::storage::kPageTrailerSize;
+  Random rng(4088);
+  std::string page(kPayload, '\0');
+  for (char& c : page) c = static_cast<char>(rng.Uniform(256));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(page.data());
+    uint32_t crc = kernel->update(0xFFFFFFFFu, page.data(), page.size());
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(page.size()));
+}
+
+BENCHMARK_CAPTURE(BM_Crc32, bytewise, "bytewise");
+BENCHMARK_CAPTURE(BM_Crc32, slice8, "slice8");
+BENCHMARK_CAPTURE(BM_Crc32, pclmul, "pclmul");
 
 // --- `--json` mode: out-of-core bulk load at scale ------------------------
 

@@ -8,10 +8,16 @@
 // random point sets, so expect the paper's *shape*: PACK's coverage about
 // half of INSERT's, overlap smaller by orders of magnitude, fewer nodes,
 // smaller depth, and A lower by 3-10x, growing with J much more slowly.
+//
+// `--packer=nn|lowx|hilbert|str` swaps the packed columns' loader (the
+// default, nn, is the paper's PACK), so the same data and queries compare
+// INSERT with any of the bulk loaders.
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
+#include <string>
 
 #include "bench_util.h"
 #include "pack/pack.h"
@@ -23,6 +29,7 @@ namespace {
 
 using pictdb::Random;
 using pictdb::bench::FakeRid;
+using pictdb::bench::PackerNamed;
 using pictdb::bench::PointEntries;
 using pictdb::bench::TreeEnv;
 using pictdb::rtree::AverageNodesVisited;
@@ -91,10 +98,11 @@ Row BuildWithInsert(const std::vector<pictdb::geom::Point>& pts,
 
 Row BuildWithPack(const std::vector<pictdb::geom::Point>& pts,
                   const std::vector<pictdb::geom::Point>& queries,
-                  const std::vector<pictdb::geom::Rect>& windows) {
+                  const std::vector<pictdb::geom::Rect>& windows,
+                  const pictdb::pack::PackOptions& packer) {
   TreeEnv env = TreeEnv::Make(PaperOptions(), /*page_size=*/256);
   PICTDB_CHECK_OK(
-      pictdb::pack::Pack(env.tree.get(), PointEntries(pts)));
+      pictdb::pack::Pack(env.tree.get(), PointEntries(pts), packer));
   return Measure(*env.tree, pts, queries, windows);
 }
 
@@ -103,13 +111,26 @@ Row BuildWithPack(const std::vector<pictdb::geom::Point>& pts,
 int main(int argc, char** argv) {
   uint64_t seed = 19850528;  // SIGMOD'85 began May 28, 1985
   size_t num_queries = 1000;
+  std::string packer_name = "nn";
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--seed=", 7) == 0) {
       seed = std::strtoull(argv[i] + 7, nullptr, 10);
     } else if (std::strncmp(argv[i], "--queries=", 10) == 0) {
       num_queries = std::strtoull(argv[i] + 10, nullptr, 10);
+    } else if (std::strncmp(argv[i], "--packer=", 9) == 0) {
+      packer_name = argv[i] + 9;
     }
   }
+  const std::optional<pictdb::pack::PackOptions> packer =
+      PackerNamed(packer_name);
+  if (!packer.has_value()) {
+    std::fprintf(stderr, "--packer must be nn, lowx, hilbert or str\n");
+    return 2;
+  }
+  // The paper's PACK keeps its historical column label.
+  const std::string label = packer_name == "nn" ? "pack" : packer_name;
+  const std::string c_label = "C(" + label + ")";
+  const std::string o_label = "O(" + label + ")";
 
   std::printf("Table 1 reproduction (seed=%llu, %zu point queries)\n",
               static_cast<unsigned long long>(seed), num_queries);
@@ -118,8 +139,8 @@ int main(int argc, char** argv) {
       "A'  = avg nodes visited, membership queries on the J data points\n"
       "A'' = avg nodes visited, 1%%-selectivity window queries\n\n");
   std::printf("%5s | %8s %8s %2s %4s %6s %6s %6s | %8s %8s %2s %4s %6s %6s %6s\n",
-              "J", "C(ins)", "O(ins)", "D", "N", "A", "A'", "A''", "C(pack)",
-              "O(pack)", "D", "N", "A", "A'", "A''");
+              "J", "C(ins)", "O(ins)", "D", "N", "A", "A'", "A''",
+              c_label.c_str(), o_label.c_str(), "D", "N", "A", "A'", "A''");
   std::printf("------+---------------------------------------------------"
               "--+------------------------------------------------------\n");
 
@@ -136,7 +157,7 @@ int main(int argc, char** argv) {
         &query_rng, num_queries, 0.01, frame);
 
     const Row ins = BuildWithInsert(pts, queries, windows);
-    const Row pck = BuildWithPack(pts, queries, windows);
+    const Row pck = BuildWithPack(pts, queries, windows, *packer);
 
     std::printf(
         "%5d | %8.0f %8.0f %2u %4llu %6.2f %6.2f %6.2f | %8.0f %8.0f %2u "

@@ -1,6 +1,7 @@
 #ifndef PICTDB_SIMD_DISPATCH_H_
 #define PICTDB_SIMD_DISPATCH_H_
 
+#include "simd/crc32.h"
 #include "simd/rect_kernels.h"
 
 namespace pictdb::simd {
@@ -20,6 +21,18 @@ const RectKernels& ActiveKernels();
 
 /// True when ActiveKernels() resolved to a vector family.
 bool SimdActive();
+
+/// The CRC-32 kernel storage::Crc32 forwards to, chosen once at first
+/// call (thread-safe) by the same rules as ActiveKernels():
+///
+///   1. built with -DPICTDB_DISABLE_SIMD=ON        -> slice8
+///   2. env var PICTDB_DISABLE_SIMD set non-"0"    -> slice8
+///   3. CPU supports PCLMULQDQ and SSE4.1          -> pclmul
+///   4. anything else                              -> slice8
+///
+/// Every kernel returns the same values (tests/crc32_test), so the
+/// choice never changes a byte on disk.
+const Crc32Kernel& ActiveCrc32();
 
 /// Test-only: force every subsequent ActiveKernels() call to return
 /// `kernels` until destruction (nullptr restores the runtime choice).

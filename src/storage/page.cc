@@ -1,36 +1,14 @@
 #include "storage/page.h"
 
-#include <array>
 #include <cstring>
 #include <string>
 
+#include "simd/dispatch.h"
+
 namespace pictdb::storage {
 
-namespace {
-
-constexpr std::array<uint32_t, 256> MakeCrcTable() {
-  std::array<uint32_t, 256> table{};
-  for (uint32_t i = 0; i < 256; ++i) {
-    uint32_t c = i;
-    for (int k = 0; k < 8; ++k) {
-      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    }
-    table[i] = c;
-  }
-  return table;
-}
-
-constexpr std::array<uint32_t, 256> kCrcTable = MakeCrcTable();
-
-}  // namespace
-
 uint32_t Crc32(const char* data, size_t n) {
-  uint32_t crc = 0xFFFFFFFFu;
-  for (size_t i = 0; i < n; ++i) {
-    crc = kCrcTable[(crc ^ static_cast<unsigned char>(data[i])) & 0xFFu] ^
-          (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
+  return simd::ActiveCrc32().update(0xFFFFFFFFu, data, n) ^ 0xFFFFFFFFu;
 }
 
 void StampPageTrailer(char* page, uint32_t page_size) {

@@ -31,7 +31,9 @@ inline constexpr uint32_t kDefaultPageSize = 4096;
 inline constexpr uint32_t kPageTrailerSize = 8;
 inline constexpr uint32_t kPageMagic = 0x50444231u;  // "PDB1"
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected) of `n` bytes.
+/// CRC-32 (IEEE 802.3 polynomial, reflected) of `n` bytes, computed by
+/// the kernel simd::ActiveCrc32() picks (DESIGN.md §13); every kernel
+/// gives the same value, so pages stay readable across builds and CPUs.
 uint32_t Crc32(const char* data, size_t n);
 
 /// Write the trailer over the last kPageTrailerSize bytes of `page`.
