@@ -1,6 +1,7 @@
 // google-benchmark microbenchmarks: point/window search latency across
 // builders (INSERT vs the packers) and dataset sizes — the wall-clock
-// companion to Table 1's "nodes visited" column.
+// companion to Table 1's "nodes visited" column — and the juxtaposition
+// (spatial join) of a point tree with a rect overlay.
 //
 // `search_micro --json [objects]` bypasses google-benchmark and emits a
 // single JSON object on stdout measuring the SIMD hot path: window
@@ -22,6 +23,7 @@
 #include "bench_util.h"
 #include "common/random.h"
 #include "pack/pack.h"
+#include "rtree/join.h"
 #include "simd/dispatch.h"
 #include "workload/generators.h"
 #include "workload/queries.h"
@@ -31,6 +33,7 @@ namespace {
 using pictdb::Random;
 using pictdb::bench::FakeRid;
 using pictdb::bench::PointEntries;
+using pictdb::bench::RectEntries;
 using pictdb::bench::TreeEnv;
 using pictdb::geom::Point;
 using pictdb::geom::Rect;
@@ -120,8 +123,41 @@ void SearchArgs(benchmark::internal::Benchmark* b) {
   }
 }
 
+/// The repository benchmark's `join` workload without the wire: a
+/// Hilbert sort-chunk tree of 100k uniform points joined with one of
+/// 1000 8x8 rects. `pairs_tested/join` is the rect tests one join makes.
+void BM_SpatialJoin(benchmark::State& state) {
+  Random rng(1985);
+  const Rect frame = pictdb::workload::PaperFrame();
+  const auto pts = pictdb::workload::UniformPoints(&rng, 100000, frame);
+  std::vector<Rect> overlay;
+  for (const Point& c : pictdb::workload::UniformPoints(&rng, 1000, frame)) {
+    overlay.push_back(Rect::FromCenterHalfExtent(c.x, 4.0, c.y, 4.0));
+  }
+  const PackOptions hilbert = *pictdb::bench::PackerNamed("hilbert");
+  TreeEnv objects = TreeEnv::Make({}, 4096);
+  TreeEnv rects = TreeEnv::Make({}, 4096);
+  PICTDB_CHECK_OK(
+      pictdb::pack::Pack(objects.tree.get(), PointEntries(pts), hilbert));
+  PICTDB_CHECK_OK(
+      pictdb::pack::Pack(rects.tree.get(), RectEntries(overlay), hilbert));
+  pictdb::rtree::JoinStats stats;
+  for (auto _ : state) {
+    uint64_t pairs = 0;
+    PICTDB_CHECK_OK(pictdb::rtree::SpatialJoin(
+        *objects.tree, *rects.tree,
+        [&pairs](const auto&, const auto&) { ++pairs; }, &stats));
+    benchmark::DoNotOptimize(pairs);
+  }
+  const double joins = static_cast<double>(state.iterations());
+  state.counters["pairs_tested/join"] =
+      static_cast<double>(stats.pairs_tested) / joins;
+  state.counters["results/join"] = static_cast<double>(stats.results) / joins;
+}
+
 BENCHMARK(BM_WindowSearch)->Apply(SearchArgs)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_PointSearch)->Apply(SearchArgs)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_SpatialJoin)->Unit(benchmark::kMillisecond);
 
 // --- `--json` mode: the SoA/SIMD hot-path numbers -------------------------
 

@@ -14,6 +14,24 @@ struct PairFrame {
   NodeRef ref[2];
 };
 
+/// `*out` = the entries of `node` whose bit is set in `mask`, in entry
+/// order, on the same level.
+void Compact(const SoaNode& node, const uint64_t* mask, SoaNode* out) {
+  out->level = node.level;
+  out->xmin.clear();
+  out->ymin.clear();
+  out->xmax.clear();
+  out->ymax.clear();
+  out->payloads.clear();
+  simd::ForEachSetBit(mask, node.count(), [&](size_t i) {
+    out->xmin.push_back(node.xmin[i]);
+    out->ymin.push_back(node.ymin[i]);
+    out->xmax.push_back(node.xmax[i]);
+    out->ymax.push_back(node.ymax[i]);
+    out->payloads.push_back(node.payloads[i]);
+  });
+}
+
 struct JoinSearch : SearchPolicy<PairFrame> {
   using Stats = JoinStats;
   static constexpr size_t kSides = 2;
@@ -40,23 +58,39 @@ struct JoinSearch : SearchPolicy<PairFrame> {
       });
       return Status::OK();
     }
-    // Equal levels: one kernel call tests every right entry against a
-    // left entry; ascending bit order keeps the nested-loop pair order.
+    // Equal levels: an intersecting pair lies inside the region both
+    // nodes cover (DESIGN.md §13). Both nodes are filtered against that
+    // region, the right one compacted to its candidates (the left is
+    // skipped when none survive), and only candidate pairs are tested.
+    // Ascending i, then ascending j, keeps the nested-loop pair order.
+    const geom::Rect common = geom::IntersectionOf(lnode.Mbr(), rnode.Mbr());
+    Compact(rnode, t.Mask(intersects, rnode.rects(), common), &right);
+    if (right.count() == 0) return Status::OK();
+    // The last Mask call of this visit, so lmask stays valid below.
+    const uint64_t* lmask = t.Mask(intersects, lnode.rects(), common);
+    const simd::RectSoa r = right.rects();
     t.PushInOrder([&] {
-      for (size_t i = 0; i < lnode.count(); ++i) {
+      simd::ForEachSetBit(lmask, lnode.count(), [&](size_t i) {
         const geom::Rect le = lnode.RectAt(i);
-        const uint64_t* mask = t.Mask(intersects, rnode.rects(), le);
-        simd::ForEachSetBit(mask, rnode.count(), [&](size_t j) {
+        t.Tested(r.count);
+        for (size_t j = 0; j < r.count; ++j) {
+          // Both entries intersect `common`, so neither is empty or NaN
+          // and Rect::Intersects comes down to four comparisons, taken
+          // without branches: the kernel costs more per call than a
+          // few candidates do, and short-circuit branches mispredict.
+          const bool hit = (le.lo.x <= r.xmax[j]) & (r.xmin[j] <= le.hi.x) &
+                           (le.lo.y <= r.ymax[j]) & (r.ymin[j] <= le.hi.y);
+          if (!hit) continue;
           if (lnode.is_leaf()) {
             ++t.stats()->results;
             (*callback)(LeafHit{le, lnode.RidAt(i)},
-                        LeafHit{rnode.RectAt(j), rnode.RidAt(j)});
+                        LeafHit{right.RectAt(j), right.RidAt(j)});
           } else {
             t.Push(PairFrame{{NodeRef::ChildOf(lnode, i),
-                              NodeRef::ChildOf(rnode, j)}});
+                              NodeRef::ChildOf(right, j)}});
           }
-        });
-      }
+        }
+      });
     });
     return Status::OK();
   }
@@ -64,6 +98,9 @@ struct JoinSearch : SearchPolicy<PairFrame> {
   const JoinCallback* callback;
   decltype(simd::RectKernels::intersects) intersects =
       simd::ActiveKernels().intersects;
+  // The right candidates of an equal-level pair, reused for every pair
+  // so the steady state does not allocate.
+  SoaNode right = {};
 };
 
 }  // namespace

@@ -11,6 +11,12 @@ namespace pictdb::rtree {
 /// Accounting for join benchmarks.
 struct JoinStats {
   uint64_t nodes_visited = 0;
+  /// Rect tests made. SpatialJoin counts, per pair of nodes on unequal
+  /// levels, the taller node's entries; per pair on equal levels, both
+  /// nodes' entries (each filtered against the region the two nodes
+  /// share; the left only when some right entry survives) plus the
+  /// surviving left x right candidate pairs. NestedLoopJoin counts
+  /// |L| x |R|.
   uint64_t pairs_tested = 0;
   uint64_t results = 0;
   /// Node pairs skipped over unreadable/corrupt pages (degraded mode).
@@ -26,8 +32,9 @@ using JoinCallback =
 /// The paper's juxtaposition engine: "simultaneous search on the two
 /// spatial organizations which correspond to the same area". Performs a
 /// synchronized depth-first traversal of both R-trees, descending only
-/// into pairs of subtrees whose MBRs intersect. Trees of different
-/// heights are handled by descending the taller side first.
+/// into pairs of subtrees whose MBRs intersect, and testing at each pair
+/// of nodes only the entries inside the region both nodes cover. Trees
+/// of different heights are handled by descending the taller side first.
 Status SpatialJoin(const RTree& left, const RTree& right,
                    const JoinCallback& callback, JoinStats* stats = nullptr,
                    const SearchOptions& options = {});

@@ -1,12 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <optional>
 #include <set>
 #include <utility>
+#include <vector>
 
 #include "common/random.h"
 #include "pack/pack.h"
 #include "rtree/join.h"
+#include "rtree/node.h"
 #include "rtree/rtree.h"
+#include "simd/dispatch.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
 #include "workload/generators.h"
@@ -152,6 +159,183 @@ TEST(JoinTest, SelfJoinContainsDiagonal) {
   for (size_t i = 0; i < rects.size(); ++i) {
     EXPECT_TRUE(got.count({static_cast<storage::PageId>(i),
                            static_cast<storage::PageId>(i)}) == 1);
+  }
+}
+
+// --- Restricted search space vs the full pair scan --------------------------
+
+/// A rect on a small integer grid, so edges touch often, or one of the
+/// cases a filter could get wrong: inverted (empty), NaN, infinite,
+/// zero-area. Coordinates are set directly: the normalizing constructor
+/// would un-invert an empty rect.
+Rect AdversarialRect(Random* rng) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double x = static_cast<double>(rng->Uniform(40));
+  const double y = static_cast<double>(rng->Uniform(40));
+  Rect r;
+  r.lo = {x, y};
+  r.hi = {x + static_cast<double>(rng->Uniform(4)),
+          y + static_cast<double>(rng->Uniform(4))};
+  switch (rng->Uniform(12)) {
+    case 0:  // inverted on one axis
+      std::swap(r.lo.x, r.hi.x);
+      r.lo.x += 1;
+      break;
+    case 1:
+      (rng->Uniform(2) == 0 ? r.lo.x : r.lo.y) = std::nan("");
+      break;
+    case 2:
+      (rng->Uniform(2) == 0 ? r.hi.x : r.hi.y) = std::nan("");
+      break;
+    case 3:
+      r.lo.x = -kInf;
+      break;
+    case 4:
+      r.hi.y = kInf;
+      break;
+    case 5:  // the whole plane
+      r.lo = {-kInf, -kInf};
+      r.hi = {kInf, kInf};
+      break;
+    case 6:  // a point at infinity
+      r.lo.x = r.hi.x = kInf;
+      break;
+    case 7:  // zero area
+      r.hi = r.lo;
+      break;
+    default:
+      break;
+  }
+  return r;
+}
+
+/// A tree written node by node: `n` adversarial leaf entries (rid page =
+/// index), 1..max_entries entries per node, parent rects the true bound
+/// of the child but for about one in eight, which gets a wrong rect.
+RTree BuildAdversarialTree(Env* env, Random* rng, size_t n) {
+  RTreeOptions opts;
+  opts.max_entries = 8;
+  auto created = RTree::Create(&env->pool, opts);
+  PICTDB_CHECK(created.ok());
+  RTree tree = std::move(created).value();
+  std::vector<Entry> entries;
+  for (size_t i = 0; i < n; ++i) {
+    Entry e;
+    e.mbr = AdversarialRect(rng);
+    e.payload =
+        Entry::PayloadFromRid(Rid{static_cast<storage::PageId>(i), 0});
+    entries.push_back(e);
+  }
+  for (uint16_t level = 0;; ++level) {
+    std::vector<Entry> parents;
+    for (size_t at = 0; at < entries.size();) {
+      const size_t take =
+          std::min<size_t>(1 + rng->Uniform(8), entries.size() - at);
+      const std::vector<Entry> chunk(entries.begin() + at,
+                                     entries.begin() + at + take);
+      auto id = tree.BulkWriteNode(level, chunk);
+      PICTDB_CHECK(id.ok());
+      Entry parent;
+      parent.mbr = rng->Uniform(8) == 0 ? AdversarialRect(rng)
+                                        : Node{level, chunk}.Mbr();
+      parent.payload = Entry::PayloadFromChild(*id);
+      parents.push_back(parent);
+      at += take;
+    }
+    if (parents.size() == 1) {
+      PICTDB_CHECK_OK(
+          tree.BulkSetRoot(parents[0].AsChild(), level + 1u, n));
+      return tree;
+    }
+    entries = std::move(parents);
+  }
+}
+
+using RidSeq = std::vector<std::pair<storage::PageId, storage::PageId>>;
+
+/// The synchronized descent without a restricted search space: every
+/// equal-level node pair runs the full |L|x|R| nested loop; unequal
+/// levels descend the taller side against the other node's bound.
+/// Recursion in entry order is the order the join's stack pops in.
+struct FullPairScan {
+  void Run(const RTree& left, storage::PageId lid, const RTree& right,
+           storage::PageId rid) {
+    SoaNode l, r;
+    PICTDB_CHECK_OK(left.ReadNodePageSoa(lid, &l));
+    PICTDB_CHECK_OK(right.ReadNodePageSoa(rid, &r));
+    nodes_visited += 2;
+    if (l.level != r.level) {
+      ++unequal_visits;
+      const bool left_tall = l.level > r.level;
+      const SoaNode& tall = left_tall ? l : r;
+      const Rect other = (left_tall ? r : l).Mbr();
+      for (size_t i = 0; i < tall.count(); ++i) {
+        if (!tall.RectAt(i).Intersects(other)) continue;
+        if (left_tall) {
+          Run(left, tall.ChildAt(i), right, rid);
+        } else {
+          Run(left, lid, right, tall.ChildAt(i));
+        }
+      }
+      return;
+    }
+    ++equal_visits;
+    for (size_t i = 0; i < l.count(); ++i) {
+      for (size_t j = 0; j < r.count(); ++j) {
+        if (!l.RectAt(i).Intersects(r.RectAt(j))) continue;
+        if (l.is_leaf()) {
+          pairs.push_back({l.RidAt(i).page_id, r.RidAt(j).page_id});
+        } else {
+          Run(left, l.ChildAt(i), right, r.ChildAt(j));
+        }
+      }
+    }
+  }
+
+  RidSeq pairs;
+  uint64_t nodes_visited = 0;
+  uint64_t equal_visits = 0;
+  uint64_t unequal_visits = 0;
+};
+
+void ExpectJoinMatchesFullPairScan(const RTree& left, const RTree& right) {
+  FullPairScan reference;
+  reference.Run(left, left.root(), right, right.root());
+  ASSERT_FALSE(reference.pairs.empty()) << "vacuous comparison";
+
+  RidSeq got;
+  JoinStats stats;
+  const uint64_t mbrs_before = MbrComputeCountForTesting();
+  ASSERT_TRUE(SpatialJoin(left, right,
+                          [&got](const LeafHit& l, const LeafHit& r) {
+                            got.push_back({l.rid.page_id, r.rid.page_id});
+                          },
+                          &stats)
+                  .ok());
+  const uint64_t mbrs = MbrComputeCountForTesting() - mbrs_before;
+
+  EXPECT_EQ(got, reference.pairs);
+  EXPECT_EQ(stats.nodes_visited, reference.nodes_visited);
+  EXPECT_EQ(stats.results, reference.pairs.size());
+  EXPECT_FALSE(stats.degraded);
+  // Two bounds per equal-level pair, one per unequal-level pair: no
+  // per-entry recomputation.
+  EXPECT_LE(mbrs, 2 * reference.equal_visits + reference.unequal_visits);
+}
+
+TEST(JoinTest, RestrictedJoinMatchesFullPairScan) {
+  Env env;
+  Random rng(1985);
+  RTree a = BuildAdversarialTree(&env, &rng, 400);
+  RTree b = BuildAdversarialTree(&env, &rng, 15);
+  ASSERT_NE(a.Height(), b.Height());
+  for (const bool scalar : {false, true}) {
+    SCOPED_TRACE(scalar ? "scalar kernels" : "active kernels");
+    std::optional<simd::ScopedKernelOverride> force;
+    if (scalar) force.emplace(&simd::ScalarKernels());
+    ExpectJoinMatchesFullPairScan(a, b);
+    ExpectJoinMatchesFullPairScan(b, a);
+    ExpectJoinMatchesFullPairScan(a, a);
   }
 }
 
