@@ -24,6 +24,7 @@
 #include "common/random.h"
 #include "pack/pack.h"
 #include "rtree/join.h"
+#include "rtree/traverse.h"
 #include "simd/dispatch.h"
 #include "workload/generators.h"
 #include "workload/queries.h"
@@ -208,21 +209,16 @@ double BatchQps(const pictdb::rtree::RTree& tree,
   return static_cast<double>(passes * windows.size()) / secs;
 }
 
-/// Every node page id, gathered by a plain BFS over interior entries.
+/// Every node page id, gathered by a whole-tree walk.
 std::vector<pictdb::storage::PageId> CollectNodeIds(
     const pictdb::rtree::RTree& tree) {
-  std::vector<pictdb::storage::PageId> ids, frontier = {tree.root()};
-  while (!frontier.empty()) {
-    std::vector<pictdb::storage::PageId> next;
-    for (const auto id : frontier) {
-      ids.push_back(id);
-      auto node = tree.ReadNodePage(id);
-      PICTDB_CHECK(node.ok());
-      if (node->is_leaf()) continue;
-      for (const auto& e : node->entries) next.push_back(e.AsChild());
-    }
-    frontier = std::move(next);
-  }
+  std::vector<pictdb::storage::PageId> ids;
+  pictdb::rtree::Walk collect(
+      [&](const pictdb::rtree::NodeRef& ref, const pictdb::rtree::SoaNode&) {
+        ids.push_back(ref.id);
+        return pictdb::Status::OK();
+      });
+  PICTDB_CHECK_OK(pictdb::rtree::TraverseTree(tree, collect));
   return ids;
 }
 

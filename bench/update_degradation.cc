@@ -8,6 +8,7 @@
 #include <cstdio>
 
 #include "bench_util.h"
+#include "check/invariants.h"
 #include "common/random.h"
 #include "pack/pack.h"
 #include "rtree/metrics.h"
@@ -102,7 +103,9 @@ int main() {
       live.push_back(p);
       ids.push_back(next_id++);
     }
-    PICTDB_CHECK_OK(packed.tree->Validate());
+    const pictdb::check::ValidationReport check =
+        pictdb::check::TreeValidator().Check(*packed.tree);
+    PICTDB_CHECK(check.ok()) << check.ToString();
     report(round);
   }
 

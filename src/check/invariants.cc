@@ -6,8 +6,10 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/logging.h"
 #include "geom/measure.h"
 #include "rtree/node.h"
+#include "rtree/traverse.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
 #include "storage/page.h"
@@ -15,8 +17,6 @@
 namespace pictdb::check {
 
 using geom::Rect;
-using rtree::Entry;
-using rtree::Node;
 using storage::PageId;
 
 const char* ToString(ViolationKind kind) {
@@ -61,11 +61,140 @@ std::string ValidationReport::ToString() const {
 
 namespace {
 
+using rtree::NodeRef;
+using rtree::SoaNode;
+
 bool FiniteAndOrdered(const Rect& r) {
   return std::isfinite(r.lo.x) && std::isfinite(r.lo.y) &&
          std::isfinite(r.hi.x) && std::isfinite(r.hi.y) && r.lo.x <= r.hi.x &&
          r.lo.y <= r.hi.y;
 }
+
+/// A node to check and its parent entry's MBR (unused at the root).
+struct CheckFrame {
+  NodeRef ref;
+  Rect parent_mbr;
+};
+
+/// The checker's walk on the one traversal engine (rtree/traverse.h),
+/// in report-and-continue mode: every node the walk reaches, readable
+/// or not, becomes findings, and a node is descended through only when
+/// its entries can be trusted as child pointers. The visited set turns
+/// aliased subtrees and cycles into kDuplicatePage instead of a hang.
+struct CheckWalk : rtree::SearchPolicy<CheckFrame> {
+  static constexpr bool kReportFaults = true;
+  static NodeRef Side(const CheckFrame& frame, size_t) { return frame.ref; }
+
+  void Add(ViolationKind kind, PageId page, std::string detail) {
+    if (report->violations.size() < options.max_violations) {
+      report->violations.push_back(Violation{kind, page, std::move(detail)});
+    }
+  }
+
+  /// Record `id` as reached; false (and a finding) when it was reached
+  /// before.
+  bool Admit(PageId id) {
+    if (!visited.insert(id).second) {
+      Add(ViolationKind::kDuplicatePage, id,
+          "page reachable along more than one path");
+      return false;
+    }
+    walk_order.push_back(id);
+    if (options.quarantine != nullptr && options.quarantine->Contains(id)) {
+      Add(ViolationKind::kQuarantinedPageReachable, id,
+          "quarantined page still referenced by the tree");
+    }
+    return true;
+  }
+
+  Status OnUnreadable(const CheckFrame& frame, const Status& loaded) {
+    if (Admit(frame.ref.id)) {
+      Add(ViolationKind::kUnreadablePage, frame.ref.id, loaded.ToString());
+    }
+    return Status::OK();
+  }
+
+  Status OnLevelMismatch(const CheckFrame& frame, const SoaNode& node) {
+    if (!Admit(frame.ref.id)) return Status::OK();
+    ++report->nodes;
+    std::ostringstream os;
+    os << "stored level " << node.level << ", walk depth implies "
+       << frame.ref.level;
+    Add(ViolationKind::kLevelMismatch, frame.ref.id, os.str());
+    // Descending through a node whose level lies would chase payloads
+    // that may not be page ids at all; stop here.
+    return Status::OK();
+  }
+
+  template <typename T>
+  Status OnNode(const CheckFrame& frame, const SoaNode* nodes, T& t) {
+    const PageId id = frame.ref.id;
+    if (!Admit(id)) return Status::OK();
+    const SoaNode& node = nodes[0];
+    ++report->nodes;
+
+    const bool is_root = id == root.id;
+    if (node.count() > tree.MaxEntries()) {
+      std::ostringstream os;
+      os << node.count() << " entries > max " << tree.MaxEntries();
+      Add(ViolationKind::kOverfullNode, id, os.str());
+    }
+    if (!is_root && node.count() == 0) {
+      Add(ViolationKind::kEmptyNode, id, "non-root node has no entries");
+    } else if (options.check_min_fill && !is_root &&
+               node.count() < tree.MinEntries()) {
+      std::ostringstream os;
+      os << node.count() << " entries < min " << tree.MinEntries();
+      Add(ViolationKind::kUnderfullNode, id, os.str());
+    }
+
+    bool entries_sane = true;
+    for (size_t i = 0; i < node.count(); ++i) {
+      const Rect r = node.RectAt(i);
+      if (!FiniteAndOrdered(r)) {
+        Add(ViolationKind::kInvalidEntryMbr, id,
+            "entry MBR empty or non-finite: " + geom::ToString(r));
+        entries_sane = false;
+      }
+    }
+    // Mbr() recomputes the bound from every entry; hoist the one
+    // computation this node needs instead of paying it per use.
+    const Rect node_mbr = node.Mbr();
+    if (!is_root && !(node_mbr == frame.parent_mbr)) {
+      // Full precision: a single flipped mantissa bit must not print as
+      // "X != X".
+      const Rect& p = frame.parent_mbr;
+      const Rect& m = node_mbr;
+      std::ostringstream os;
+      os << std::setprecision(17) << "parent entry [" << p.lo.x << ", "
+         << p.lo.y << ", " << p.hi.x << ", " << p.hi.y
+         << "] != minimal bound [" << m.lo.x << ", " << m.lo.y << ", "
+         << m.hi.x << ", " << m.hi.y << "]";
+      Add(ViolationKind::kParentMbrMismatch, id, os.str());
+    }
+
+    if (node.is_leaf()) {
+      report->leaf_entries += node.count();
+      if (options.measure_quality && node.count() > 0) {
+        leaf_mbrs.push_back(node_mbr);
+      }
+      return Status::OK();
+    }
+    if (!entries_sane) return Status::OK();  // child MBRs untrustworthy
+    for (size_t i = 0; i < node.count(); ++i) {
+      t.Push(CheckFrame{NodeRef::ChildOf(node, i), node.RectAt(i)});
+    }
+    return Status::OK();
+  }
+
+  const rtree::RTree& tree;
+  const ValidatorOptions& options;
+  NodeRef root;
+  ValidationReport* report;
+  std::unordered_set<PageId> visited;
+  std::vector<PageId> walk_order;  // the pages reached, in walk order
+  std::vector<Rect> leaf_mbrs;     // non-empty leaves (measure_quality)
+};
 
 }  // namespace
 
@@ -74,136 +203,27 @@ ValidationReport TreeValidator::Check(const rtree::RTree& tree) const {
   storage::BufferPool* pool = tree.pool();
   const size_t pinned_before = pool->pinned_frames();
 
-  const size_t max_entries =
-      tree.options().max_entries != 0
-          ? tree.options().max_entries
-          : rtree::NodePageCapacity(pool->page_size());
-  const size_t min_entries = tree.options().min_entries != 0
-                                 ? tree.options().min_entries
-                                 : max_entries / 2;
+  // Root page and level from one snapshot: the walk's expected levels,
+  // its is-root test and the reported depth all describe one shape.
+  const NodeRef root = rtree::Traversal<CheckWalk>::Root(tree);
+  CheckWalk check{{}, tree, options_, root, &report, {}, {}, {}};
+  rtree::Traversal<CheckWalk> walk({&tree}, CheckFrame{root, Rect()}, {},
+                                   nullptr);
+  // Report-and-continue: every fault went to the report, so the walk
+  // itself never fails.
+  PICTDB_CHECK_OK(walk.Run(check));
 
-  auto add = [&](ViolationKind kind, PageId page, std::string detail) {
-    if (report.violations.size() < options_.max_violations) {
-      report.violations.push_back(Violation{kind, page, std::move(detail)});
-    }
-  };
-
-  // --- The walk -----------------------------------------------------------
-  // Iterative DFS with an explicit visited set, so aliased subtrees and
-  // cycles surface as kDuplicatePage instead of hanging the checker.
-  struct PendingNode {
-    PageId id;
-    uint16_t expected_level;
-    bool has_parent = false;
-    Rect parent_mbr;  // the parent entry's MBR, checked for minimality
-  };
-  std::vector<PendingNode> stack;
-  stack.push_back(PendingNode{
-      tree.root(), static_cast<uint16_t>(tree.Height() - 1), false, Rect()});
-
-  std::unordered_set<PageId> visited;
-  std::vector<Rect> leaf_mbrs;
-  uint64_t leaf_entries = 0;
-
-  while (!stack.empty()) {
-    const PendingNode item = stack.back();
-    stack.pop_back();
-
-    if (!visited.insert(item.id).second) {
-      add(ViolationKind::kDuplicatePage, item.id,
-          "page reachable along more than one path");
-      continue;
-    }
-    if (options_.quarantine != nullptr &&
-        options_.quarantine->Contains(item.id)) {
-      add(ViolationKind::kQuarantinedPageReachable, item.id,
-          "quarantined page still referenced by the tree");
-    }
-
-    auto loaded = tree.ReadNodePage(item.id);
-    if (!loaded.ok()) {
-      add(ViolationKind::kUnreadablePage, item.id,
-          loaded.status().ToString());
-      continue;
-    }
-    const Node node = std::move(loaded).value();
-    ++report.nodes;
-
-    const bool is_root = item.id == tree.root();
-    if (node.level != item.expected_level) {
-      std::ostringstream os;
-      os << "stored level " << node.level << ", walk depth implies "
-         << item.expected_level;
-      add(ViolationKind::kLevelMismatch, item.id, os.str());
-      // Descending through a node whose level lies would chase payloads
-      // that may not be page ids at all; stop here.
-      continue;
-    }
-    if (node.entries.size() > max_entries) {
-      std::ostringstream os;
-      os << node.entries.size() << " entries > max " << max_entries;
-      add(ViolationKind::kOverfullNode, item.id, os.str());
-    }
-    if (!is_root && node.entries.empty()) {
-      add(ViolationKind::kEmptyNode, item.id, "non-root node has no entries");
-    } else if (options_.check_min_fill && !is_root &&
-               node.entries.size() < min_entries) {
-      std::ostringstream os;
-      os << node.entries.size() << " entries < min " << min_entries;
-      add(ViolationKind::kUnderfullNode, item.id, os.str());
-    }
-
-    bool entries_sane = true;
-    for (const Entry& e : node.entries) {
-      if (!FiniteAndOrdered(e.mbr)) {
-        add(ViolationKind::kInvalidEntryMbr, item.id,
-            "entry MBR empty or non-finite: " + geom::ToString(e.mbr));
-        entries_sane = false;
-      }
-    }
-    // Mbr() recomputes the bound from every entry; hoist the one
-    // computation this node needs instead of paying it per use.
-    const Rect node_mbr = node.Mbr();
-    if (item.has_parent && !(node_mbr == item.parent_mbr)) {
-      // Full precision: a single flipped mantissa bit must not print as
-      // "X != X".
-      const Rect& p = item.parent_mbr;
-      const Rect& m = node_mbr;
-      std::ostringstream os;
-      os << std::setprecision(17) << "parent entry [" << p.lo.x << ", "
-         << p.lo.y << ", " << p.hi.x << ", " << p.hi.y
-         << "] != minimal bound [" << m.lo.x << ", " << m.lo.y << ", "
-         << m.hi.x << ", " << m.hi.y << "]";
-      add(ViolationKind::kParentMbrMismatch, item.id, os.str());
-    }
-
-    if (node.is_leaf()) {
-      leaf_entries += node.entries.size();
-      if (options_.measure_quality && !node.entries.empty()) {
-        leaf_mbrs.push_back(node_mbr);
-      }
-      continue;
-    }
-    if (!entries_sane) continue;  // child MBRs untrustworthy; don't recurse
-    for (const Entry& e : node.entries) {
-      stack.push_back(PendingNode{e.AsChild(),
-                                  static_cast<uint16_t>(node.level - 1), true,
-                                  e.mbr});
-    }
-  }
-
-  report.leaf_entries = leaf_entries;
-  report.depth = tree.Height() - 1;
-  if (leaf_entries != tree.Size()) {
+  report.depth = root.level;
+  if (report.leaf_entries != tree.Size()) {
     std::ostringstream os;
     os << "meta records " << tree.Size() << " entries, walk found "
-       << leaf_entries;
-    add(ViolationKind::kSizeMismatch, tree.meta_page(), os.str());
+       << report.leaf_entries;
+    check.Add(ViolationKind::kSizeMismatch, tree.meta_page(), os.str());
   }
 
   if (options_.measure_quality) {
-    report.coverage = geom::TotalArea(leaf_mbrs);
-    report.overlap = geom::AreaCoveredAtLeast(leaf_mbrs, 2);
+    report.coverage = geom::TotalArea(check.leaf_mbrs);
+    report.overlap = geom::AreaCoveredAtLeast(check.leaf_mbrs, 2);
   }
 
   // --- On-disk CRC verification ------------------------------------------
@@ -212,18 +232,18 @@ ValidationReport TreeValidator::Check(const rtree::RTree& tree) const {
   if (options_.check_checksums && pool->options().checksum_pages) {
     const Status flushed = pool->FlushAll();
     if (!flushed.ok()) {
-      add(ViolationKind::kChecksumMismatch, storage::kInvalidPageId,
-          "flush before CRC scan failed: " + flushed.ToString());
+      check.Add(ViolationKind::kChecksumMismatch, storage::kInvalidPageId,
+                "flush before CRC scan failed: " + flushed.ToString());
     } else {
       storage::DiskManager* disk = pool->disk();
       std::vector<char> raw(disk->page_size());
-      for (const PageId id : visited) {
+      for (const PageId id : check.walk_order) {
         const Status read = disk->ReadPage(id, raw.data());
         if (!read.ok()) continue;  // already reported as unreadable above
         const Status crc =
             storage::VerifyPageTrailer(raw.data(), disk->page_size(), id);
         if (!crc.ok()) {
-          add(ViolationKind::kChecksumMismatch, id, crc.ToString());
+          check.Add(ViolationKind::kChecksumMismatch, id, crc.ToString());
         }
       }
     }
@@ -234,7 +254,7 @@ ValidationReport TreeValidator::Check(const rtree::RTree& tree) const {
   if (pinned_after > pinned_before) {
     std::ostringstream os;
     os << pinned_after - pinned_before << " frame(s) left pinned by the walk";
-    add(ViolationKind::kPinLeak, storage::kInvalidPageId, os.str());
+    check.Add(ViolationKind::kPinLeak, storage::kInvalidPageId, os.str());
   }
 
   return report;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <numeric>
-#include <unordered_map>
 #include <utility>
 
 #include "common/logging.h"
@@ -590,40 +589,6 @@ StatusOr<std::vector<Rect>> RTree::CollectNodeMbrsAtLevel(
 StatusOr<std::vector<LeafHit>> RTree::CollectAllEntries(
     SearchStats* stats) const {
   return RunShapeSearch<Rect>(*this, MatchAll, MatchAll, Rect(), stats, {});
-}
-
-Status RTree::Validate() const {
-  // The walk itself rejects nodes at the wrong level; this checks fill,
-  // minimal parent bounds and the recorded size. `bound` maps each child
-  // page to its parent entry's MBR; the root is the first node visited.
-  std::unordered_map<PageId, Rect> bound;
-  uint64_t leaf_entries = 0;
-  bool is_root = true;
-  Walk check([&](const NodeRef& ref, const SoaNode& node) {
-    if (node.count() > MaxEntries()) {
-      return Status::Corruption("node overfull");
-    }
-    if (!std::exchange(is_root, false) && node.count() < 1) {
-      return Status::Corruption("empty non-root node");
-    }
-    if (const auto parent = bound.extract(ref.id);
-        !parent.empty() && !(node.Mbr() == parent.mapped())) {
-      return Status::Corruption("parent MBR is not the minimal bound");
-    }
-    if (node.is_leaf()) {
-      leaf_entries += node.count();
-      return Status::OK();
-    }
-    for (size_t i = 0; i < node.count(); ++i) {
-      bound[node.ChildAt(i)] = node.RectAt(i);
-    }
-    return Status::OK();
-  });
-  PICTDB_RETURN_IF_ERROR(TraverseTree(*this, check));
-  if (leaf_entries != Size()) {
-    return Status::Corruption("recorded size does not match leaf entries");
-  }
-  return Status::OK();
 }
 
 StatusOr<PageId> RTree::BulkWriteNode(uint16_t level,

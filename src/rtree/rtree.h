@@ -247,12 +247,11 @@ class RTree {
   StatusOr<std::vector<LeafHit>> CollectAllEntries(
       SearchStats* stats = nullptr) const;
 
-  /// Check structural invariants: parent MBRs minimally bound children,
-  /// node counts within [min,max] (root exempt), uniform leaf depth,
-  /// recorded size matches. Corruption status on violation.
-  Status Validate() const;
-
   const RTreeOptions& options() const { return options_; }
+  /// The node fill bounds in force: the options' values, or the page
+  /// capacity and half of it where those are 0.
+  size_t MaxEntries() const;
+  size_t MinEntries() const;
   storage::PageId meta_page() const { return meta_page_; }
   storage::PageId root() const {
     return static_cast<storage::PageId>(root_height_.load() & 0xFFFFFFFFu);
@@ -278,15 +277,11 @@ class RTree {
     retire_hook_ = std::move(hook);
   }
 
-  /// Decode the node stored at `id`. Low-level access for tools that
-  /// inspect single pages (validator, visualization, fault tests).
-  StatusOr<Node> ReadNodePage(storage::PageId id) const {
-    return LoadNode(id);
-  }
-
-  /// SoA variant of ReadNodePage: decodes into caller-owned scratch, so
-  /// a caller reusing one SoaNode never allocates per node. Searches go
-  /// through rtree/traverse.h instead, which adds the level check.
+  /// Decode the node stored at `id` into caller-owned scratch, so a
+  /// caller reusing one SoaNode never allocates per node. Low-level
+  /// access for tools that inspect single pages; searches and whole-tree
+  /// checks go through rtree/traverse.h instead, which adds the level
+  /// check.
   Status ReadNodePageSoa(storage::PageId id, SoaNode* out) const {
     return LoadNodeSoa(id, out);
   }
@@ -388,9 +383,6 @@ class RTree {
                                    const storage::Rid& rid,
                                    std::vector<std::pair<uint16_t, Entry>>*
                                        orphans);
-
-  size_t MaxEntries() const;
-  size_t MinEntries() const;
 
   /// Free `id` through the retire hook when set, else immediately.
   Status RetirePage(storage::PageId id);

@@ -78,12 +78,21 @@ class Frontier {
 /// which receives one decoded node per side and the engine, through
 /// which it tests entries (Mask), queues frames (Push, PushChildren) and
 /// counts results (stats()).
+///
+/// A checker's policy sets kReportFaults: the walk then reports and
+/// continues. A node that fails to load goes to
+///   Status OnUnreadable(const Frame&, const Status& loaded)
+/// and one whose stored level disagrees with its parent's goes to
+///   Status OnLevelMismatch(const Frame&, const SoaNode& node)
+/// instead of failing the traversal. Neither passes through
+/// ShouldDegrade, and nothing is quarantined.
 template <typename FrameT, bool kBestFirst = false>
 struct SearchPolicy {
   using Frame = FrameT;
   using Frontier = rtree::Frontier<FrameT, kBestFirst>;
   using Stats = SearchStats;
   static constexpr size_t kSides = 1;
+  static constexpr bool kReportFaults = false;
   static constexpr uint64_t SearchStats::*kTested =
       &SearchStats::entries_tested;
 
@@ -144,6 +153,13 @@ class Traversal {
     for (size_t side = 0; side < kSides; ++side) {
       const NodeRef ref = Policy::Side(frame, side);
       Status loaded = trees_[side]->LoadNodeSoa(ref.id, &nodes_[side]);
+      if constexpr (Policy::kReportFaults) {
+        if (!loaded.ok()) return policy.OnUnreadable(frame, loaded);
+        if (nodes_[side].level != ref.level) {
+          return policy.OnLevelMismatch(frame, nodes_[side]);
+        }
+        continue;
+      }
       if (loaded.ok() && nodes_[side].level != ref.level) {
         // A node at the wrong depth (e.g. a child pointer back to an
         // ancestor) would otherwise send the descent round in a cycle.

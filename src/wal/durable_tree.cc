@@ -93,13 +93,17 @@ StatusOr<std::unique_ptr<DurableRTree>> DurableRTree::Open(
 
   const bool clean = !scan.tail_torn && !scan.records.empty() &&
                      scan.records.back().type == RecordType::kCleanShutdown;
+  // Every structural invariant of an on-disk tree, but no pool flush
+  // and CRC scan and no quality sweep, so the check costs one walk.
+  const check::TreeValidator sound(
+      {.check_checksums = false, .measure_quality = false});
   bool reattached = false;
   if (clean) {
     // Fast path: the marker promises the on-disk tree equals the logged
     // state — but verify before trusting it (the final flush itself may
     // have torn; then the marker lies and we rebuild anyway).
     auto tree = rtree::RTree::Open(pool, meta_page);
-    if (tree.ok() && tree->Validate().ok() &&
+    if (tree.ok() && sound.Check(*tree).ok() &&
         tree->Size() == replay->entries.size()) {
       dt->tree_.emplace(std::move(tree).value());
       dt->recovery_info_.clean_shutdown = true;
@@ -113,7 +117,7 @@ StatusOr<std::unique_ptr<DurableRTree>> DurableRTree::Open(
     // safe, reusing a page that is secretly live is not).
     {
       auto old = rtree::RTree::Open(pool, meta_page);
-      if (old.ok() && old->Validate().ok()) {
+      if (old.ok() && sound.Check(*old).ok()) {
         if (Status st = old->Clear(); !st.ok()) {
           PICTDB_LOG_WARN()
               << "recovery could not free old tree pages: " << st.ToString();

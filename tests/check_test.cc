@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "check/invariants.h"
@@ -188,6 +191,256 @@ TEST_F(TreeValidatorTest, FlagsReachableQuarantinedPage) {
   EXPECT_TRUE(
       HasViolation(report, ViolationKind::kQuarantinedPageReachable))
       << report.ToString();
+}
+
+// --- TreeValidator findings -------------------------------------------------
+// One hand-built or byte-patched tree per ViolationKind, every finding
+// pinned by kind, page and detail, in report order.
+
+using enum ViolationKind;
+using Findings = std::vector<Violation>;
+
+/// A tree of fan-out 4 built node by node through the bulk-load
+/// interface, or patched through the pool (checksum restamped) where
+/// BulkWriteNode refuses the shape (empty, overfull).
+struct HandBuilt {
+  static RTree Create(Env* env) {
+    RTreeOptions opts;
+    opts.max_entries = 4;
+    auto tree = RTree::Create(&env->pool, opts);
+    PICTDB_CHECK(tree.ok());
+    return std::move(tree).value();
+  }
+  /// Leaf entries over `rects`, with tuple ids 1, 2, ...
+  static std::vector<Entry> LeafEntries(const std::vector<Rect>& rects) {
+    std::vector<Entry> entries;
+    for (const Rect& r : rects) {
+      const Rid rid{static_cast<PageId>(entries.size() + 1), 0};
+      entries.push_back(Entry{r, Entry::PayloadFromRid(rid)});
+    }
+    return entries;
+  }
+
+  PageId Write(uint16_t level, const std::vector<Entry>& entries) {
+    auto id = tree.BulkWriteNode(level, entries);
+    PICTDB_CHECK(id.ok());
+    return *id;
+  }
+  PageId Leaf(const std::vector<Rect>& rects) {
+    return Write(0, LeafEntries(rects));
+  }
+  /// A level-1 node over (entry MBR, child page) pairs.
+  PageId Inner(const std::vector<std::pair<Rect, PageId>>& children) {
+    std::vector<Entry> entries;
+    for (const auto& [mbr, child] : children) {
+      entries.push_back(Entry{mbr, Entry::PayloadFromChild(child)});
+    }
+    return Write(1, entries);
+  }
+  void Patch(PageId id, uint16_t level, const std::vector<Entry>& entries) {
+    auto guard = env.pool.FetchPage(id);
+    PICTDB_CHECK(guard.ok());
+    rtree::WriteNode(rtree::Node{level, entries}, guard->mutable_data(),
+                     env.pool.page_size());
+  }
+  void SetRoot(PageId root, uint32_t height, uint64_t size) {
+    PICTDB_CHECK_OK(tree.BulkSetRoot(root, height, size));
+  }
+
+  Env env;
+  RTree tree = Create(&env);
+};
+
+/// Two leaves under the root, the second holding one entry of min 2.
+PageId WithUnderfullLeaf(HandBuilt& h) {
+  const PageId l1 = h.Leaf({Rect(0, 0, 1, 1), Rect(2, 2, 3, 3)});
+  const PageId l2 = h.Leaf({Rect(5, 5, 6, 6)});
+  h.SetRoot(h.Inner({{Rect(0, 0, 3, 3), l1}, {Rect(5, 5, 6, 6), l2}}), 2, 3);
+  return l2;
+}
+
+struct FindingCase {
+  const char* name;
+  Findings (*build)(HandBuilt&);
+  bool check_min_fill = false;
+};
+
+const FindingCase kFindingCases[] = {
+    {"CleanTree",
+     [](HandBuilt& h) -> Findings {
+       const PageId l1 = h.Leaf({Rect(0, 0, 1, 1), Rect(2, 2, 3, 3)});
+       const PageId l2 = h.Leaf({Rect(5, 5, 6, 6), Rect(7, 7, 8, 8)});
+       h.SetRoot(h.Inner({{Rect(0, 0, 3, 3), l1}, {Rect(5, 5, 8, 8), l2}}),
+                 2, 4);
+       return {};
+     }},
+    {"NonMinimalParentMbr",  // the parent claims more than the leaf holds
+     [](HandBuilt& h) -> Findings {
+       const PageId leaf = h.Leaf({Rect(0, 0, 1, 1), Rect(2, 2, 3, 3)});
+       h.SetRoot(h.Inner({{Rect(0, 0, 10, 10), leaf}}), 2, 2);
+       return {{kParentMbrMismatch, leaf,
+                "parent entry [0, 0, 10, 10] != minimal bound [0, 0, 3, 3]"}};
+     }},
+    {"WrongLevel",  // a level-1 child under a level-1 parent
+     [](HandBuilt& h) -> Findings {
+       const PageId child = h.Inner({{Rect(0, 0, 1, 1), 1}});
+       h.SetRoot(h.Inner({{Rect(0, 0, 1, 1), child}}), 2, 1);
+       return {{kLevelMismatch, child, "stored level 1, walk depth implies 0"},
+               {kSizeMismatch, h.tree.meta_page(),
+                "meta records 1 entries, walk found 0"}};
+     }},
+    {"SizeMismatch",
+     [](HandBuilt& h) -> Findings {
+       h.SetRoot(h.Leaf({Rect(0, 0, 1, 1)}), 1, 99);
+       return {{kSizeMismatch, h.tree.meta_page(),
+                "meta records 99 entries, walk found 1"}};
+     }},
+    {"DuplicatePage",  // two parent entries point at one leaf
+     [](HandBuilt& h) -> Findings {
+       const PageId leaf = h.Leaf({Rect(0, 0, 1, 1), Rect(2, 2, 3, 3)});
+       h.SetRoot(
+           h.Inner({{Rect(0, 0, 3, 3), leaf}, {Rect(0, 0, 3, 3), leaf}}), 2,
+           2);
+       return {{kDuplicatePage, leaf,
+                "page reachable along more than one path"}};
+     }},
+    {"CycleToRoot",  // a duplicate first, though its level is wrong too
+     [](HandBuilt& h) -> Findings {
+       const PageId root = h.Inner({{Rect(0, 0, 1, 1), 0}});
+       h.Patch(root, 1, {Entry{Rect(0, 0, 1, 1), root}});
+       h.SetRoot(root, 2, 0);
+       return {{kDuplicatePage, root,
+                "page reachable along more than one path"}};
+     }},
+    {"OverfullNode",
+     [](HandBuilt& h) -> Findings {
+       const PageId leaf = h.Leaf({Rect(0, 0, 1, 1)});
+       h.Patch(leaf, 0,
+               HandBuilt::LeafEntries({Rect(0, 0, 1, 1), Rect(1, 1, 2, 2),
+                                       Rect(2, 2, 3, 3), Rect(3, 3, 4, 4),
+                                       Rect(4, 4, 5, 5)}));
+       h.SetRoot(leaf, 1, 5);
+       return {{kOverfullNode, leaf, "5 entries > max 4"}};
+     }},
+    {"EmptyNode",
+     [](HandBuilt& h) -> Findings {
+       const PageId l1 = h.Leaf({Rect(0, 0, 1, 1), Rect(2, 2, 3, 3)});
+       const PageId l2 = h.Leaf({Rect(5, 5, 6, 6)});
+       h.Patch(l2, 0, {});
+       h.SetRoot(h.Inner({{Rect(0, 0, 3, 3), l1}, {Rect(5, 5, 6, 6), l2}}),
+                 2, 2);
+       return {{kEmptyNode, l2, "non-root node has no entries"},
+               {kParentMbrMismatch, l2,
+                "parent entry [5, 5, 6, 6] != minimal bound "
+                "[inf, inf, -inf, -inf]"}};
+     }},
+    {"UnderfullNodeAllowedByDefault",
+     [](HandBuilt& h) -> Findings {
+       WithUnderfullLeaf(h);
+       return {};
+     }},
+    {"UnderfullNode",
+     [](HandBuilt& h) -> Findings {
+       return {{kUnderfullNode, WithUnderfullLeaf(h), "1 entries < min 2"}};
+     },
+     /*check_min_fill=*/true},
+    {"InvertedEntryMbr",
+     [](HandBuilt& h) -> Findings {
+       Rect inverted(0, 0, 1, 1);
+       std::swap(inverted.lo.x, inverted.hi.x);
+       const PageId leaf = h.Leaf({inverted});
+       h.SetRoot(leaf, 1, 1);
+       return {{kInvalidEntryMbr, leaf,
+                "entry MBR empty or non-finite: RECT(empty)"}};
+     }},
+    {"NanEntryMbr",  // not descended through, so its leaf goes uncounted
+     [](HandBuilt& h) -> Findings {
+       Rect nan(0, 0, 1, 1);
+       nan.lo.x = std::numeric_limits<double>::quiet_NaN();
+       const PageId root = h.Inner({{nan, h.Leaf({Rect(0, 0, 1, 1)})}});
+       h.SetRoot(root, 2, 1);
+       return {{kInvalidEntryMbr, root,
+                "entry MBR empty or non-finite: RECT(nan 0, 1 1)"},
+               {kSizeMismatch, h.tree.meta_page(),
+                "meta records 1 entries, walk found 0"}};
+     }},
+    {"UnreadablePage",
+     [](HandBuilt& h) -> Findings {
+       h.SetRoot(h.Inner({{Rect(0, 0, 1, 1), 4000}}), 2, 0);
+       return {{kUnreadablePage, 4000,
+                "OutOfRange: read of unallocated page 4000"}};
+     }},
+};
+
+class TreeValidatorFindingTest
+    : public TreeValidatorTest,
+      public ::testing::WithParamInterface<FindingCase> {};
+
+TEST_P(TreeValidatorFindingTest, ReportsExactlyTheExpectedFindings) {
+  HandBuilt h;
+  const Findings expected = GetParam().build(h);
+  ValidatorOptions opts;
+  opts.check_min_fill = GetParam().check_min_fill;
+  const ValidationReport report = TreeValidator(opts).Check(h.tree);
+  ASSERT_EQ(report.violations.size(), expected.size()) << report.ToString();
+  for (size_t i = 0; i < expected.size(); ++i) {
+    // Violation::ToString spells out kind, page and detail.
+    EXPECT_EQ(report.violations[i].ToString(), expected[i].ToString());
+  }
+  EXPECT_EQ(h.env.pool.pinned_frames(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Trees, TreeValidatorFindingTest, ::testing::ValuesIn(kFindingCases),
+    [](const ::testing::TestParamInfo<FindingCase>& info) {
+      return std::string(info.param.name);
+    });
+
+TEST_F(TreeValidatorTest, ReportsEveryFindingOfOneTreeInWalkOrder) {
+  // Root entries, visited last first: a level-1 node one level too
+  // high, an unallocated page, and one leaf reached twice.
+  HandBuilt h;
+  const PageId leaf = h.Leaf({Rect(0, 0, 1, 1), Rect(2, 2, 3, 3)});
+  const PageId high = h.Inner({{Rect(5, 5, 6, 6), 3}});
+  h.SetRoot(h.Inner({{Rect(0, 0, 3, 3), leaf},
+                     {Rect(0, 0, 3, 3), leaf},
+                     {Rect(0, 0, 1, 1), 4000},
+                     {Rect(5, 5, 6, 6), high}}),
+            2, 5);
+
+  const std::string expected =
+      "C=9 O=0 D=1 N=3 J=2 [4 violation(s)]"
+      "\n  level-mismatch page=" + std::to_string(high) +
+      " (stored level 1, walk depth implies 0)"
+      "\n  unreadable-page page=4000 (OutOfRange: read of unallocated page "
+      "4000)"
+      "\n  duplicate-page page=" + std::to_string(leaf) +
+      " (page reachable along more than one path)"
+      "\n  size-mismatch page=" + std::to_string(h.tree.meta_page()) +
+      " (meta records 5 entries, walk found 2)";
+  EXPECT_EQ(TreeValidator().Check(h.tree).ToString(), expected);
+}
+
+TEST_F(TreeValidatorTest, ChecksumScanReportsRotInWalkOrder) {
+  // The walk reaches the root, then l2 (the last entry), then l1.
+  HandBuilt h;
+  const PageId l1 = h.Leaf({Rect(0, 0, 1, 1), Rect(2, 2, 3, 3)});
+  const PageId l2 = h.Leaf({Rect(5, 5, 6, 6), Rect(7, 7, 8, 8)});
+  h.SetRoot(h.Inner({{Rect(0, 0, 3, 3), l1}, {Rect(5, 5, 8, 8), l2}}), 2, 4);
+  PICTDB_CHECK_OK(h.env.pool.FlushAll());
+  std::vector<char> raw(h.env.disk.page_size());
+  for (const PageId id : {l1, l2}) {
+    PICTDB_CHECK_OK(h.env.disk.ReadPage(id, raw.data()));
+    raw[40] = static_cast<char>(~raw[40]);
+    PICTDB_CHECK_OK(h.env.disk.WritePage(id, raw.data()));
+  }
+
+  ValidatorOptions opts;
+  opts.max_violations = 1;
+  const ValidationReport report = TreeValidator(opts).Check(h.tree);
+  ASSERT_EQ(report.violations.size(), 1u) << report.ToString();
+  EXPECT_EQ(report.violations[0].kind, kChecksumMismatch);
+  EXPECT_EQ(report.violations[0].page, l2);
 }
 
 // --- Oracle and comparators -------------------------------------------------

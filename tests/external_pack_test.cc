@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "check/invariants.h"
 #include "common/random.h"
 #include "pack/external.h"
 #include "pack/pack.h"
@@ -24,6 +23,8 @@
 #include "storage/spill_file.h"
 #include "workload/generators.h"
 
+#include "tree_check.h"
+
 namespace pictdb::pack {
 namespace {
 
@@ -31,13 +32,9 @@ using rtree::Entry;
 using rtree::RTree;
 using storage::PageId;
 using storage::Rid;
+using testing_support::TreeIsValid;
 
 std::string SpillDir() { return std::string(::testing::TempDir()); }
-
-void ExpectValidTree(const RTree& tree) {
-  const check::ValidationReport report = check::TreeValidator().Check(tree);
-  EXPECT_TRUE(report.ok()) << report.ToString();
-}
 
 std::vector<Entry> SeededEntries(uint64_t seed, size_t n) {
   Random rng(seed);
@@ -92,7 +89,7 @@ DiskImage BuildImage(const std::vector<Entry>& entries, const BuildFn& build) {
   PICTDB_CHECK(created.ok());
   RTree tree = std::move(created).value();
   build(&tree, entries);
-  ExpectValidTree(tree);
+  EXPECT_TRUE(TreeIsValid(tree));
   PICTDB_CHECK_OK(pool.FlushAll());
 
   DiskImage image;
@@ -318,7 +315,7 @@ TEST(ExternalPackTest, TornSpillWriteFailsCleanlyAndTreeStaysUsable) {
   in_memory.strategy = PackStrategy::kSortChunk;
   ASSERT_TRUE(Pack(&*tree, entries, in_memory).ok());
   EXPECT_EQ(tree->Size(), entries.size());
-  ExpectValidTree(*tree);
+  EXPECT_TRUE(TreeIsValid(*tree));
 }
 
 TEST(ExternalPackTest, TransientSpillFaultsAreAbsorbedByRetry) {

@@ -29,6 +29,8 @@
 #include "storage/quarantine.h"
 #include "workload/generators.h"
 
+#include "tree_check.h"
+
 namespace pictdb {
 namespace {
 
@@ -42,6 +44,7 @@ using storage::FaultInjectionDiskManager;
 using storage::FaultPlan;
 using storage::InMemoryDiskManager;
 using storage::PageId;
+using testing_support::TreeIsValid;
 
 /// Backoff sleeps disabled: fault tests retry a lot and must stay fast.
 BufferPoolOptions FastRetryOptions(int retries = 8) {
@@ -217,9 +220,9 @@ class PermanentFaultTest : public ::testing::Test {
   /// hundred points under it).
   PageId FirstChildOfRoot() {
     PICTDB_CHECK(tree_->Height() >= 2);
-    auto root = tree_->ReadNodePage(tree_->root());
-    PICTDB_CHECK(root.ok());
-    return root->entries.front().AsChild();
+    rtree::SoaNode root;
+    PICTDB_CHECK_OK(tree_->ReadNodePageSoa(tree_->root(), &root));
+    return root.ChildAt(0);
   }
 
   InMemoryDiskManager base_;
@@ -329,7 +332,7 @@ TEST_F(PermanentFaultTest, ScrubAndRepackRestoresPreCorruptionOracle) {
 
   // The rebuilt tree answers the full oracle with no degradation, and
   // never touches the quarantined page again.
-  PICTDB_CHECK_OK(tree_->Validate());
+  ASSERT_TRUE(TreeIsValid(*tree_));
   rtree::SearchStats stats;
   auto hits = tree_->SearchIntersects(everything_, &stats);
   ASSERT_TRUE(hits.ok()) << hits.status().ToString();
@@ -361,7 +364,7 @@ TEST_F(PermanentFaultTest, ScrubAndRepackFromSalvageKeepsReadableEntries) {
   EXPECT_LT(report->entries_recovered, kObjects);  // the dead subtree
   EXPECT_GT(report->entries_recovered, 0u);
 
-  PICTDB_CHECK_OK(tree_->Validate());
+  ASSERT_TRUE(TreeIsValid(*tree_));
   auto hits = tree_->SearchIntersects(everything_);
   ASSERT_TRUE(hits.ok());
   EXPECT_EQ(hits->size(), report->entries_recovered);
@@ -382,9 +385,9 @@ class StructuralCorruptionTest : public ::testing::Test {
   StructuralCorruptionTest() : disk_(512), pool_(&disk_, 1024) {
     tree_ = BuildTree(&pool_, 2000, &points_);
     PICTDB_CHECK(tree_->Height() >= 3);
-    auto root = tree_->ReadNodePage(tree_->root());
-    PICTDB_CHECK(root.ok());
-    child_ = root->entries.front().AsChild();  // an interior node
+    rtree::SoaNode root;
+    PICTDB_CHECK_OK(tree_->ReadNodePageSoa(tree_->root(), &root));
+    child_ = root.ChildAt(0);  // an interior node
   }
 
   /// Rewrite the page of `id` through the pool (restamping its CRC).
@@ -439,9 +442,9 @@ TEST_F(StructuralCorruptionTest, OverfullEntryCountIsCorruption) {
   });
   ExpectCorruptionThenDegraded(child_);
 
-  auto node = tree_->ReadNodePage(child_);
-  ASSERT_FALSE(node.ok());
-  EXPECT_TRUE(node.status().IsCorruption());
+  rtree::SoaNode node;
+  const Status read = tree_->ReadNodePageSoa(child_, &node);
+  EXPECT_TRUE(read.IsCorruption()) << read.ToString();
 
   // The validator reports the page instead of aborting the process.
   const check::ValidationReport report = check::TreeValidator().Check(*tree_);
@@ -606,9 +609,9 @@ TEST(FaultServiceTest, DegradedQueriesQuarantineThroughTheService) {
   BufferPool pool(&faulty, 256, 1, FastRetryOptions(2));
   auto tree = RTree::Open(&pool, meta);
   ASSERT_TRUE(tree.ok());
-  auto root = tree->ReadNodePage(tree->root());
-  ASSERT_TRUE(root.ok());
-  const PageId bad = root->entries.front().AsChild();
+  rtree::SoaNode root;
+  ASSERT_TRUE(tree->ReadNodePageSoa(tree->root(), &root).ok());
+  const PageId bad = root.ChildAt(0);
   faulty.AddPermanentReadFault(bad);
 
   service::QueryService svc(&*tree, nullptr);

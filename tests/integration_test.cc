@@ -17,6 +17,8 @@
 #include "storage/heap_file.h"
 #include "workload/generators.h"
 
+#include "tree_check.h"
+
 namespace pictdb {
 namespace {
 
@@ -30,6 +32,7 @@ using storage::FileDiskManager;
 using storage::HeapFile;
 using storage::PageId;
 using storage::Rid;
+using testing_support::TreeIsValid;
 
 std::string TempPath(const char* tag) {
   return std::string(::testing::TempDir()) + "/pictdb_integration_" + tag +
@@ -94,7 +97,7 @@ TEST(IntegrationTest, AllStructuresShareOneFileAndSurviveReopen) {
     EXPECT_EQ(*index.Count(), points.size());
     EXPECT_EQ(tree->Size(), points.size());
     ASSERT_TRUE(index.Validate().ok());
-    ASSERT_TRUE(tree->Validate().ok());
+    ASSERT_TRUE(TreeIsValid(*tree));
 
     // Every object reachable three ways: by rid, by key, by location.
     for (size_t i = 0; i < points.size(); ++i) {
@@ -151,11 +154,11 @@ TEST(IntegrationTest, PackedTreePersistsAcrossReopen) {
     ASSERT_TRUE(tree.ok());
     EXPECT_EQ(tree->Size(), pts.size());
     EXPECT_EQ(tree->options().max_entries, 8u);
-    ASSERT_TRUE(tree->Validate().ok());
+    ASSERT_TRUE(TreeIsValid(*tree));
     // Updates on the reopened packed tree still work.
     ASSERT_TRUE(tree->Insert(Rect(1, 1, 2, 2), Rid{9999, 0}).ok());
     ASSERT_TRUE(tree->Delete(Rect(1, 1, 2, 2), Rid{9999, 0}).ok());
-    ASSERT_TRUE(tree->Validate().ok());
+    ASSERT_TRUE(TreeIsValid(*tree));
   }
   std::remove(path.c_str());
 }
@@ -179,7 +182,7 @@ TEST(IntegrationTest, TinyBufferPoolStillCorrect) {
                              Rid{static_cast<PageId>(i), 0})
                     .ok());
   }
-  ASSERT_TRUE(tree->Validate().ok());
+  ASSERT_TRUE(TreeIsValid(*tree));
   EXPECT_GT(pool.stats().evictions, 0u);
 
   const Rect window(250, 250, 750, 750);

@@ -21,6 +21,8 @@
 #include "workload/generators.h"
 #include "workload/queries.h"
 
+#include "tree_check.h"
+
 namespace pictdb::pack {
 namespace {
 
@@ -30,6 +32,7 @@ using rtree::Entry;
 using rtree::RTree;
 using rtree::RTreeOptions;
 using storage::Rid;
+using testing_support::TreeIsValid;
 
 enum class BuilderKind { kNN, kLowX, kStr, kHilbert, kNNHilbertOrder };
 enum class DataKind { kUniform, kClustered, kSkewed, kRects };
@@ -144,7 +147,7 @@ TEST_P(PackProperty, ValidCompleteAndExact) {
       Pack(&*tree, MakeLeafEntries(rects, rids), Packer(builder)).ok());
 
   // Structure.
-  ASSERT_TRUE(tree->Validate().ok());
+  ASSERT_TRUE(TreeIsValid(*tree));
   EXPECT_EQ(tree->Size(), rects.size());
 
   // Packed trees should be near-minimal in node count: every level is
@@ -229,7 +232,7 @@ TEST_P(BulkLoadAnyGrouping, RandomGroupingsProduceValidTrees) {
 
   ASSERT_TRUE(
       BuildWithGrouping(&*tree, MakeLeafEntries(pts, rids), grouping).ok());
-  ASSERT_TRUE(tree->Validate().ok());
+  ASSERT_TRUE(TreeIsValid(*tree));
   EXPECT_EQ(tree->Size(), pts.size());
 
   // Exactness spot check.

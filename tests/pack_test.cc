@@ -6,7 +6,6 @@
 #include <set>
 #include <tuple>
 
-#include "check/invariants.h"
 #include "common/random.h"
 #include "pack/hilbert.h"
 #include "pack/nn_grid.h"
@@ -18,6 +17,8 @@
 #include "workload/generators.h"
 #include "workload/queries.h"
 
+#include "tree_check.h"
+
 namespace pictdb::pack {
 namespace {
 
@@ -27,20 +28,13 @@ using rtree::Entry;
 using rtree::RTree;
 using rtree::RTreeOptions;
 using storage::Rid;
+using testing_support::TreeIsValid;
 
 struct Env {
   Env() : disk(512), pool(&disk, 8192) {}
   storage::InMemoryDiskManager disk;
   storage::BufferPool pool;
 };
-
-/// Teardown-style deep check: full invariant walk plus CRC scan and
-/// pin-leak detection, stricter than tree.Validate().
-void ExpectValidTree(const RTree& tree) {
-  const check::ValidationReport report =
-      check::TreeValidator().Check(tree);
-  EXPECT_TRUE(report.ok()) << report.ToString();
-}
 
 /// One packer per strategy family: the paper's PACK, sort-chunk ("lowx"),
 /// STR, and sort-chunk with the Hilbert criterion.
@@ -199,8 +193,7 @@ TEST_P(PackBuilders, BuildsValidTreeWithAllEntries) {
                                            workload::PaperFrame());
   ASSERT_TRUE(Build(&*tree, PointItems(pts)).ok());
   EXPECT_EQ(tree->Size(), 217u);
-  ASSERT_TRUE(tree->Validate().ok());
-  ExpectValidTree(*tree);
+  ASSERT_TRUE(TreeIsValid(*tree));
   auto all = tree->CollectAllEntries();
   ASSERT_TRUE(all.ok());
   EXPECT_EQ(all->size(), 217u);
@@ -228,8 +221,7 @@ TEST_P(PackBuilders, HandlesTinyInputs) {
         workload::UniformPoints(&rng, n, workload::PaperFrame());
     ASSERT_TRUE(Build(&*tree, PointItems(pts)).ok()) << "n=" << n;
     EXPECT_EQ(tree->Size(), n);
-    ASSERT_TRUE(tree->Validate().ok()) << "n=" << n;
-    ExpectValidTree(*tree);
+    ASSERT_TRUE(TreeIsValid(*tree)) << "n=" << n;
   }
 }
 
@@ -272,8 +264,7 @@ TEST_P(PackBuilders, PackedTreeSupportsLaterUpdates) {
                     .ok());
   }
   EXPECT_EQ(tree->Size(), 100u);
-  ASSERT_TRUE(tree->Validate().ok());
-  ExpectValidTree(*tree);
+  ASSERT_TRUE(TreeIsValid(*tree));
 }
 
 std::string BuilderName(const ::testing::TestParamInfo<int>& info) {
@@ -317,8 +308,8 @@ TEST(PackQualityTest, PackBeatsInsertOnUniformPoints) {
   auto pq = rtree::MeasureTree(*packed);
   auto dq = rtree::MeasureTree(*dynamic);
   ASSERT_TRUE(pq.ok() && dq.ok());
-  ExpectValidTree(*packed);
-  ExpectValidTree(*dynamic);
+  EXPECT_TRUE(TreeIsValid(*packed));
+  EXPECT_TRUE(TreeIsValid(*dynamic));
   EXPECT_LT(pq->nodes, dq->nodes);
   EXPECT_LE(pq->depth, dq->depth);
 
@@ -439,7 +430,7 @@ TEST(PackValidationTest, EveryBuilderRejectsNonFiniteAndEmptyMbrs) {
       // cleanly afterwards.
       EXPECT_EQ(tree->Size(), 0u);
       ASSERT_TRUE(Pack(&*tree, ValidItems(20), kPackers[b]).ok());
-      ExpectValidTree(*tree);
+      EXPECT_TRUE(TreeIsValid(*tree));
     }
   }
 }
@@ -470,7 +461,7 @@ TEST(PackValidationTest, DenormalCoordinatesPackFine) {
     ASSERT_TRUE(Pack(&*tree, items, kPackers[b]).ok())
         << "builder " << b;
     EXPECT_EQ(tree->Size(), 30u);
-    ExpectValidTree(*tree);
+    EXPECT_TRUE(TreeIsValid(*tree));
   }
 }
 
@@ -529,7 +520,7 @@ TEST(PackDispatcherTest, StrategySelectsPacker) {
     options.strategy = s;
     ASSERT_TRUE(Pack(&*tree, ValidItems(150), options).ok());
     EXPECT_EQ(tree->Size(), 150u);
-    ExpectValidTree(*tree);
+    EXPECT_TRUE(TreeIsValid(*tree));
   }
 }
 

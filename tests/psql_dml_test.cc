@@ -11,8 +11,12 @@
 #include "workload/us_catalog.h"
 #include "workload/us_cities.h"
 
+#include "tree_check.h"
+
 namespace pictdb::psql {
 namespace {
+
+using testing_support::TreeIsValid;
 
 class PsqlDmlTest : public ::testing::Test {
  protected:
@@ -156,7 +160,7 @@ TEST_F(PsqlDmlTest, DeleteByAlphanumericPredicate) {
   ASSERT_TRUE(cities.ok());
   auto index = (*cities)->SpatialIndex("loc");
   ASSERT_TRUE(index.ok());
-  ASSERT_TRUE((*index)->Validate().ok());
+  ASSERT_TRUE(TreeIsValid(**index));
   EXPECT_EQ((*index)->Size(), static_cast<uint64_t>(before - small));
 }
 
@@ -251,7 +255,7 @@ TEST_F(PsqlDmlTest, UpdateGeometryMovesTheObjectInTheRTree) {
   ASSERT_TRUE(cities.ok());
   auto index = (*cities)->SpatialIndex("loc");
   ASSERT_TRUE(index.ok());
-  ASSERT_TRUE((*index)->Validate().ok());
+  ASSERT_TRUE(TreeIsValid(**index));
 }
 
 TEST_F(PsqlDmlTest, UpdateWithSpatialQualification) {

@@ -13,12 +13,15 @@
 #include "workload/generators.h"
 #include "workload/queries.h"
 
+#include "tree_check.h"
+
 namespace pictdb::rtree {
 namespace {
 
 using geom::Point;
 using geom::Rect;
 using storage::Rid;
+using testing_support::TreeIsValid;
 
 struct Env {
   Env() : disk(512), pool(&disk, 8192) {}
@@ -50,11 +53,11 @@ TEST(ReinsertTest, TreeStaysValidAndComplete) {
   for (size_t i = 0; i < pts.size(); ++i) {
     ASSERT_TRUE(tree->Insert(Rect::FromPoint(pts[i]), MakeRid(i)).ok());
     if (i % 50 == 0) {
-      ASSERT_TRUE(tree->Validate().ok()) << "after insert " << i;
+      ASSERT_TRUE(TreeIsValid(*tree)) << "after insert " << i;
     }
   }
   EXPECT_EQ(tree->Size(), pts.size());
-  ASSERT_TRUE(tree->Validate().ok());
+  ASSERT_TRUE(TreeIsValid(*tree));
   // Everything findable.
   for (size_t i = 0; i < pts.size(); ++i) {
     auto hits = tree->SearchPoint(pts[i]);
@@ -81,7 +84,7 @@ TEST(ReinsertTest, DeletesStillWork) {
     ASSERT_TRUE(tree->Delete(Rect::FromPoint(pts[i]), MakeRid(i)).ok());
   }
   EXPECT_EQ(tree->Size(), pts.size() / 2);
-  ASSERT_TRUE(tree->Validate().ok());
+  ASSERT_TRUE(TreeIsValid(*tree));
 }
 
 TEST(ReinsertTest, OptionPersistsAcrossOpen) {
@@ -124,7 +127,7 @@ TEST(ReinsertTest, ImprovesDynamicTreeQuality) {
     ASSERT_TRUE(
         reinserting->Insert(Rect::FromPoint(pts[i]), MakeRid(i)).ok());
   }
-  ASSERT_TRUE(reinserting->Validate().ok());
+  ASSERT_TRUE(TreeIsValid(*reinserting));
   EXPECT_LT(window_cost(*reinserting), window_cost(*plain));
 }
 
@@ -139,7 +142,7 @@ TEST(ReinsertTest, CombinesWithRStarSplit) {
   for (size_t i = 0; i < pts.size(); ++i) {
     ASSERT_TRUE(tree->Insert(Rect::FromPoint(pts[i]), MakeRid(i)).ok());
   }
-  ASSERT_TRUE(tree->Validate().ok());
+  ASSERT_TRUE(TreeIsValid(*tree));
   EXPECT_EQ(tree->CollectAllEntries()->size(), 300u);
 }
 

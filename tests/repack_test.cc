@@ -2,7 +2,6 @@
 
 #include <set>
 
-#include "check/invariants.h"
 #include "common/random.h"
 #include "pack/pack.h"
 #include "pack/repack.h"
@@ -12,6 +11,8 @@
 #include "storage/disk_manager.h"
 #include "workload/generators.h"
 
+#include "tree_check.h"
+
 namespace pictdb::pack {
 namespace {
 
@@ -20,6 +21,7 @@ using geom::Rect;
 using rtree::RTree;
 using rtree::RTreeOptions;
 using storage::Rid;
+using testing_support::TreeIsValid;
 
 struct Env {
   Env() : disk(512), pool(&disk, 8192) {}
@@ -32,12 +34,6 @@ Rid MakeRid(size_t i) {
 }
 
 
-/// Teardown-style deep check: full invariant walk (parent MBRs, levels,
-/// fill factors, CRCs, pin leaks), stricter than tree.Validate().
-void ExpectValidTree(const RTree& tree) {
-  const check::ValidationReport report = check::TreeValidator().Check(tree);
-  EXPECT_TRUE(report.ok()) << report.ToString();
-}
 
 std::set<storage::PageId> AllRidPages(const RTree& tree) {
   auto hits = tree.CollectAllEntries();
@@ -63,7 +59,7 @@ TEST(ClearTest, ResetsToEmptyAndReleasesPages) {
   ASSERT_TRUE(tree->Clear().ok());
   EXPECT_EQ(tree->Size(), 0u);
   EXPECT_EQ(tree->Height(), 1u);
-  ASSERT_TRUE(tree->Validate().ok());
+  ASSERT_TRUE(TreeIsValid(*tree));
   // The freed pages are recycled: inserting again should not grow the
   // file much beyond its previous size.
   for (size_t i = 0; i < pts.size(); ++i) {
@@ -105,14 +101,14 @@ TEST(RepackTest, RestoresPackedQualityAfterChurn) {
 
   const auto before = AllRidPages(*tree);
   ASSERT_TRUE(Repack(&*tree).ok());
-  ASSERT_TRUE(tree->Validate().ok());
+  ASSERT_TRUE(TreeIsValid(*tree));
   EXPECT_EQ(AllRidPages(*tree), before);  // same content
   auto repacked_quality = rtree::MeasureTree(*tree);
   ASSERT_TRUE(repacked_quality.ok());
   // Node count back to the packed optimum for 1000 entries.
   EXPECT_EQ(repacked_quality->size, 1000u);
   EXPECT_LT(repacked_quality->nodes, churned_quality->nodes);
-  ExpectValidTree(*tree);
+  EXPECT_TRUE(TreeIsValid(*tree));
 }
 
 TEST(RepackTest, RepackEmptyTreeIsNoop) {
@@ -121,7 +117,7 @@ TEST(RepackTest, RepackEmptyTreeIsNoop) {
   ASSERT_TRUE(tree.ok());
   ASSERT_TRUE(Repack(&*tree).ok());
   EXPECT_EQ(tree->Size(), 0u);
-  ASSERT_TRUE(tree->Validate().ok());
+  ASSERT_TRUE(TreeIsValid(*tree));
 }
 
 TEST(RepackRegionTest, LocalReorganizationPreservesContent) {
@@ -145,7 +141,7 @@ TEST(RepackRegionTest, LocalReorganizationPreservesContent) {
   ASSERT_TRUE(repacked.ok()) << repacked.status().ToString();
   EXPECT_GT(*repacked, 0u);
 
-  ASSERT_TRUE(tree->Validate().ok());
+  ASSERT_TRUE(TreeIsValid(*tree));
   EXPECT_EQ(AllRidPages(*tree), before);
   EXPECT_EQ(tree->Size(), 300u);
 
@@ -159,7 +155,7 @@ TEST(RepackRegionTest, LocalReorganizationPreservesContent) {
     }
     EXPECT_TRUE(found) << i;
   }
-  ExpectValidTree(*tree);
+  EXPECT_TRUE(TreeIsValid(*tree));
 }
 
 TEST(RepackRegionTest, ImprovesLocalQuality) {
@@ -185,12 +181,12 @@ TEST(RepackRegionTest, ImprovesLocalQuality) {
 
   ASSERT_TRUE(RepackRegion(&*tree, Rect(0, 0, 300, 1000)).ok());
   ASSERT_TRUE(RepackRegion(&*tree, Rect(700, 0, 1000, 1000)).ok());
-  ASSERT_TRUE(tree->Validate().ok());
+  ASSERT_TRUE(TreeIsValid(*tree));
 
   auto after = rtree::MeasureTree(*tree);
   ASSERT_TRUE(after.ok());
   EXPECT_LE(after->nodes, before->nodes);
-  ExpectValidTree(*tree);
+  EXPECT_TRUE(TreeIsValid(*tree));
 }
 
 TEST(RepackRegionTest, EmptyRegionRepacksNothing) {
@@ -228,7 +224,7 @@ TEST(RepackPolicyTest, TriggersAtThreshold) {
   ASSERT_TRUE(fired.ok());
   EXPECT_TRUE(*fired);  // 30 >= 25
   EXPECT_EQ(policy.updates(), 0u);  // counter reset
-  ASSERT_TRUE(tree->Validate().ok());
+  ASSERT_TRUE(TreeIsValid(*tree));
   EXPECT_EQ(tree->Size(), 100u);
 }
 

@@ -13,12 +13,15 @@
 #include "storage/disk_manager.h"
 #include "workload/generators.h"
 
+#include "tree_check.h"
+
 namespace pictdb::pack {
 namespace {
 
 using geom::Point;
 using geom::Rect;
 using storage::Rid;
+using testing_support::TreeIsValid;
 
 TEST(RotationPackingTest, EmptyAndTinyInputs) {
   auto empty = ComputeRotationPacking({}, 4);
@@ -105,7 +108,7 @@ TEST(PackWithRotationTest, BuildsQueryableTreeInRotatedFrame) {
   }
   geom::Transform transform;
   ASSERT_TRUE(PackWithRotation(&*tree, pts, rids, &transform).ok());
-  ASSERT_TRUE(tree->Validate().ok());
+  ASSERT_TRUE(TreeIsValid(*tree));
 
   // Zero leaf overlap in the rotated frame.
   auto q = rtree::MeasureTree(*tree);

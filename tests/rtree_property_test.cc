@@ -17,12 +17,15 @@
 #include "workload/generators.h"
 #include "workload/queries.h"
 
+#include "tree_check.h"
+
 namespace pictdb::rtree {
 namespace {
 
 using geom::Point;
 using geom::Rect;
 using storage::Rid;
+using testing_support::TreeIsValid;
 
 enum class Dataset { kUniform, kClustered, kSkewed, kRegions, kGrid };
 
@@ -86,7 +89,7 @@ TEST_P(RTreeProperty, InvariantsAndExactAnswers) {
         tree->Insert(rects[i], Rid{static_cast<storage::PageId>(i), 0}).ok());
     live[i] = rects[i];
   }
-  ASSERT_TRUE(tree->Validate().ok());
+  ASSERT_TRUE(TreeIsValid(*tree));
 
   // Interleave deletes with queries.
   for (int round = 0; round < 4; ++round) {
@@ -102,7 +105,7 @@ TEST_P(RTreeProperty, InvariantsAndExactAnswers) {
               .ok());
       live.erase(it);
     }
-    ASSERT_TRUE(tree->Validate().ok());
+    ASSERT_TRUE(TreeIsValid(*tree));
     EXPECT_EQ(tree->Size(), live.size());
 
     // Window queries agree with brute force.

@@ -4,7 +4,6 @@
 #include <set>
 #include <vector>
 
-#include "check/invariants.h"
 #include "common/random.h"
 #include "rtree/metrics.h"
 #include "rtree/node.h"
@@ -14,12 +13,15 @@
 #include "storage/disk_manager.h"
 #include "workload/generators.h"
 
+#include "tree_check.h"
+
 namespace pictdb::rtree {
 namespace {
 
 using geom::Point;
 using geom::Rect;
 using storage::Rid;
+using testing_support::TreeIsValid;
 
 struct Env {
   explicit Env(uint32_t page_size = 512)
@@ -30,13 +32,6 @@ struct Env {
 
 Rid MakeRid(size_t i) {
   return Rid{static_cast<storage::PageId>(i), 0};
-}
-
-/// Teardown-style deep check: full invariant walk (parent MBRs, levels,
-/// fill factors, CRCs, pin leaks), stricter than tree.Validate().
-void ExpectValidTree(const rtree::RTree& tree) {
-  const check::ValidationReport report = check::TreeValidator().Check(tree);
-  EXPECT_TRUE(report.ok()) << report.ToString();
 }
 
 // --- Node serialization --------------------------------------------------------
@@ -199,7 +194,7 @@ TEST(RTreeTest, EmptyTree) {
   auto hits = tree->SearchIntersects(Rect(0, 0, 100, 100));
   ASSERT_TRUE(hits.ok());
   EXPECT_TRUE(hits->empty());
-  EXPECT_TRUE(tree->Validate().ok());
+  EXPECT_TRUE(TreeIsValid(*tree));
 }
 
 TEST(RTreeTest, InsertRejectsEmptyRect) {
@@ -253,13 +248,12 @@ TEST(RTreeTest, GrowsAndValidates) {
   for (size_t i = 0; i < pts.size(); ++i) {
     ASSERT_TRUE(tree->Insert(Rect::FromPoint(pts[i]), MakeRid(i)).ok());
     if (i % 25 == 0) {
-      ASSERT_TRUE(tree->Validate().ok());
+      ASSERT_TRUE(TreeIsValid(*tree));
     }
   }
   EXPECT_EQ(tree->Size(), 200u);
   EXPECT_GE(tree->Height(), 3u);
-  ASSERT_TRUE(tree->Validate().ok());
-  ExpectValidTree(*tree);
+  ASSERT_TRUE(TreeIsValid(*tree));
 }
 
 TEST(RTreeTest, SearchMatchesBruteForce) {
@@ -293,7 +287,7 @@ TEST(RTreeTest, SearchMatchesBruteForce) {
     }
     EXPECT_EQ(got, expected) << "window " << geom::ToString(window);
   }
-  ExpectValidTree(*tree);
+  EXPECT_TRUE(TreeIsValid(*tree));
 }
 
 TEST(RTreeTest, DeleteRemovesAndCondenses) {
@@ -313,11 +307,11 @@ TEST(RTreeTest, DeleteRemovesAndCondenses) {
   for (size_t i = 0; i < pts.size(); i += 2) {
     ASSERT_TRUE(tree->Delete(Rect::FromPoint(pts[i]), MakeRid(i)).ok());
     if (i % 20 == 0) {
-      ASSERT_TRUE(tree->Validate().ok());
+      ASSERT_TRUE(TreeIsValid(*tree));
     }
   }
   EXPECT_EQ(tree->Size(), 60u);
-  ASSERT_TRUE(tree->Validate().ok());
+  ASSERT_TRUE(TreeIsValid(*tree));
   // Survivors still findable; deleted not.
   for (size_t i = 0; i < pts.size(); ++i) {
     auto hits = tree->SearchPoint(pts[i]);
@@ -328,7 +322,7 @@ TEST(RTreeTest, DeleteRemovesAndCondenses) {
     }
     EXPECT_EQ(found, i % 2 == 1) << i;
   }
-  ExpectValidTree(*tree);
+  EXPECT_TRUE(TreeIsValid(*tree));
 }
 
 TEST(RTreeTest, DeleteMissingEntry) {
@@ -356,8 +350,7 @@ TEST(RTreeTest, DeleteEverythingLeavesEmptyValidTree) {
   }
   EXPECT_EQ(tree->Size(), 0u);
   EXPECT_EQ(tree->Height(), 1u);
-  ASSERT_TRUE(tree->Validate().ok());
-  ExpectValidTree(*tree);
+  ASSERT_TRUE(TreeIsValid(*tree));
 }
 
 TEST(RTreeTest, DeleteClusterUnderflowsNonLeafLevels) {
@@ -394,12 +387,12 @@ TEST(RTreeTest, DeleteClusterUnderflowsNonLeafLevels) {
         tree->Delete(Rect::FromPoint(far[i]), MakeRid(kPerCluster + i)).ok())
         << i;
     if (i % 16 == 0) {
-      ASSERT_TRUE(tree->Validate().ok());
+      ASSERT_TRUE(TreeIsValid(*tree));
     }
   }
   EXPECT_EQ(tree->Size(), kPerCluster);
   EXPECT_LE(tree->Height(), tall);  // root collapses as levels empty
-  ExpectValidTree(*tree);
+  EXPECT_TRUE(TreeIsValid(*tree));
   // Cluster A intact, cluster B gone.
   auto a = tree->SearchIntersects(Rect(0, 0, 100, 100));
   ASSERT_TRUE(a.ok());
@@ -432,13 +425,13 @@ TEST(RTreeTest, UpdateMovesEntry) {
   auto at_new = tree->Contains(new_mbr, MakeRid(7));
   ASSERT_TRUE(at_new.ok());
   EXPECT_TRUE(*at_new);
-  ExpectValidTree(*tree);
+  EXPECT_TRUE(TreeIsValid(*tree));
 
   // Updating a non-existent entry is NotFound and changes nothing.
   EXPECT_TRUE(tree->Update(old_mbr, MakeRid(7), new_mbr, MakeRid(7))
                   .IsNotFound());
   EXPECT_EQ(tree->Size(), pts.size());
-  ExpectValidTree(*tree);
+  EXPECT_TRUE(TreeIsValid(*tree));
 }
 
 TEST(RTreeTest, ContainsIsExactMatch) {
@@ -497,7 +490,7 @@ TEST(RTreeTest, OpenFromMetaPage) {
   ASSERT_TRUE(reopened.ok());
   EXPECT_EQ(reopened->Size(), 50u);
   EXPECT_EQ(reopened->options().max_entries, 4u);
-  ASSERT_TRUE(reopened->Validate().ok());
+  ASSERT_TRUE(TreeIsValid(*reopened));
   EXPECT_EQ(reopened->SearchPoint(Point{10.5, 10.5})->size(), 1u);
 }
 
@@ -514,7 +507,7 @@ TEST(RTreeTest, LinearSplitAlsoWorks) {
   for (size_t i = 0; i < pts.size(); ++i) {
     ASSERT_TRUE(tree->Insert(Rect::FromPoint(pts[i]), MakeRid(i)).ok());
   }
-  ASSERT_TRUE(tree->Validate().ok());
+  ASSERT_TRUE(TreeIsValid(*tree));
   EXPECT_EQ(tree->CollectAllEntries()->size(), 150u);
 }
 

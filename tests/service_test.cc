@@ -14,7 +14,6 @@
 #include <latch>
 #include <vector>
 
-#include "check/invariants.h"
 #include "common/random.h"
 #include "pack/pack.h"
 #include "psql/executor.h"
@@ -28,6 +27,8 @@
 #include "workload/generators.h"
 #include "workload/us_catalog.h"
 
+#include "tree_check.h"
+
 namespace pictdb::service {
 namespace {
 
@@ -35,6 +36,7 @@ using geom::Point;
 using geom::Rect;
 using rtree::Entry;
 using rtree::RTree;
+using testing_support::TreeIsValid;
 
 constexpr size_t kThreads = 8;
 constexpr size_t kQueriesPerThread = 1000;
@@ -97,11 +99,7 @@ class ServiceStressTest : public ::testing::Test {
   /// Teardown: the shared tree must survive the concurrent battering
   /// with every structural invariant intact (parent MBRs, levels, CRCs,
   /// no leaked pins).
-  void TearDown() override {
-    const check::ValidationReport report =
-        check::TreeValidator().Check(*tree_);
-    EXPECT_TRUE(report.ok()) << report.ToString();
-  }
+  void TearDown() override { EXPECT_TRUE(TreeIsValid(*tree_)); }
 
   storage::InMemoryDiskManager disk_;
   storage::BufferPool pool_;

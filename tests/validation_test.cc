@@ -1,11 +1,11 @@
-// Failure-injection tests: Validate() must detect hand-built structural
-// corruption in R-trees, and the CHECK machinery must abort on invariant
-// violations (death tests).
+// Failure-injection tests: the bulk-load interface must refuse malformed
+// nodes, node decode must reject a corrupt count, and the CHECK machinery
+// must abort on invariant violations (death tests). Hand-built corrupt
+// trees are checked by the TreeValidator finding table (check_test.cc).
 
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
-#include "common/random.h"
 #include "rtree/node.h"
 #include "rtree/rtree.h"
 #include "storage/buffer_pool.h"
@@ -15,7 +15,6 @@ namespace pictdb::rtree {
 namespace {
 
 using geom::Rect;
-using storage::PageId;
 using storage::Rid;
 
 struct Env {
@@ -31,66 +30,6 @@ Entry LeafEntry(const Rect& r, uint32_t id) {
   return e;
 }
 
-Entry ChildEntry(const Rect& r, PageId child) {
-  Entry e;
-  e.mbr = r;
-  e.payload = Entry::PayloadFromChild(child);
-  return e;
-}
-
-TEST(ValidationTest, DetectsNonMinimalParentMbr) {
-  Env env;
-  RTreeOptions opts;
-  opts.max_entries = 4;
-  auto tree = RTree::Create(&env.pool, opts);
-  ASSERT_TRUE(tree.ok());
-
-  auto leaf = tree->BulkWriteNode(
-      0, {LeafEntry(Rect(0, 0, 1, 1), 1), LeafEntry(Rect(2, 2, 3, 3), 2)});
-  ASSERT_TRUE(leaf.ok());
-  // Parent claims a *larger* MBR than the leaf's minimal bound.
-  auto root = tree->BulkWriteNode(
-      1, {ChildEntry(Rect(0, 0, 10, 10), *leaf)});
-  ASSERT_TRUE(root.ok());
-  ASSERT_TRUE(tree->BulkSetRoot(*root, 2, 2).ok());
-
-  const Status st = tree->Validate();
-  ASSERT_TRUE(st.IsCorruption());
-  EXPECT_NE(st.message().find("minimal"), std::string::npos);
-}
-
-TEST(ValidationTest, DetectsWrongLevel) {
-  Env env;
-  RTreeOptions opts;
-  opts.max_entries = 4;
-  auto tree = RTree::Create(&env.pool, opts);
-  ASSERT_TRUE(tree.ok());
-
-  // Child written at level 1 but hung one level above a level-1 parent's
-  // expectation (parent at level 1 expects level-0 children).
-  auto child = tree->BulkWriteNode(1, {LeafEntry(Rect(0, 0, 1, 1), 1)});
-  ASSERT_TRUE(child.ok());
-  auto root = tree->BulkWriteNode(1, {ChildEntry(Rect(0, 0, 1, 1), *child)});
-  ASSERT_TRUE(root.ok());
-  ASSERT_TRUE(tree->BulkSetRoot(*root, 2, 1).ok());
-
-  EXPECT_TRUE(tree->Validate().IsCorruption());
-}
-
-TEST(ValidationTest, DetectsSizeMismatch) {
-  Env env;
-  RTreeOptions opts;
-  opts.max_entries = 4;
-  auto tree = RTree::Create(&env.pool, opts);
-  ASSERT_TRUE(tree.ok());
-  auto leaf = tree->BulkWriteNode(0, {LeafEntry(Rect(0, 0, 1, 1), 1)});
-  ASSERT_TRUE(leaf.ok());
-  ASSERT_TRUE(tree->BulkSetRoot(*leaf, 1, /*size=*/99).ok());
-  const Status st = tree->Validate();
-  ASSERT_TRUE(st.IsCorruption());
-  EXPECT_NE(st.message().find("size"), std::string::npos);
-}
-
 TEST(ValidationTest, BulkWriteRejectsOverfullAndEmptyNodes) {
   Env env;
   RTreeOptions opts;
@@ -103,25 +42,6 @@ TEST(ValidationTest, BulkWriteRejectsOverfullAndEmptyNodes) {
   }
   EXPECT_TRUE(tree->BulkWriteNode(0, five).status().IsInvalidArgument());
   EXPECT_TRUE(tree->BulkWriteNode(0, {}).status().IsInvalidArgument());
-}
-
-TEST(ValidationTest, CleanTreeValidates) {
-  Env env;
-  RTreeOptions opts;
-  opts.max_entries = 4;
-  auto tree = RTree::Create(&env.pool, opts);
-  ASSERT_TRUE(tree.ok());
-  auto leaf1 = tree->BulkWriteNode(
-      0, {LeafEntry(Rect(0, 0, 1, 1), 1), LeafEntry(Rect(2, 2, 3, 3), 2)});
-  auto leaf2 = tree->BulkWriteNode(
-      0, {LeafEntry(Rect(5, 5, 6, 6), 3), LeafEntry(Rect(7, 7, 8, 8), 4)});
-  ASSERT_TRUE(leaf1.ok() && leaf2.ok());
-  auto root = tree->BulkWriteNode(
-      1, {ChildEntry(Rect(0, 0, 3, 3), *leaf1),
-          ChildEntry(Rect(5, 5, 8, 8), *leaf2)});
-  ASSERT_TRUE(root.ok());
-  ASSERT_TRUE(tree->BulkSetRoot(*root, 2, 4).ok());
-  EXPECT_TRUE(tree->Validate().ok());
 }
 
 // --- CHECK machinery ---------------------------------------------------------

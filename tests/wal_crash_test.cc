@@ -18,13 +18,14 @@
 
 #include "check/oracle.h"
 #include "common/logging.h"
-#include "check/invariants.h"
 #include "service/query_service.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
 #include "storage/fault_injection.h"
 #include "storage/write_cache.h"
 #include "wal/durable_tree.h"
+
+#include "tree_check.h"
 
 namespace pictdb::wal {
 namespace {
@@ -39,13 +40,9 @@ using storage::InMemoryDiskManager;
 using storage::PageId;
 using storage::Rid;
 using storage::WriteCacheDiskManager;
+using testing_support::TreeIsValid;
 
 const Rect kEverything(-1e18, -1e18, 1e18, 1e18);
-
-void ExpectValid(const rtree::RTree& tree) {
-  const check::ValidationReport report = check::TreeValidator().Check(tree);
-  EXPECT_TRUE(report.ok()) << report.ToString();
-}
 
 // Full-state differential: the recovered tree must answer the
 // everything-window identically to the oracle (same multiset).
@@ -142,7 +139,7 @@ TEST(WalCrashTest, CrashAfterEveryRecordBoundary) {
     // acked op (the one above included — its commit fsynced before ok).
     const RecoveryInfo info = env.Crash();
     EXPECT_TRUE(info.opened);
-    ExpectValid(env.durable->tree());
+    EXPECT_TRUE(TreeIsValid(env.durable->tree()));
     ExpectMatchesOracle(env.durable->tree(), oracle);
   }
 }
@@ -213,7 +210,7 @@ TEST(WalCrashTest, TornLastRecordRecoversPrefix) {
   // The recovered state is the committed prefix: everything except the
   // torn final insert.
   ASSERT_TRUE(oracle.Delete(last_mbr, last_rid));
-  ExpectValid(env.durable->tree());
+  EXPECT_TRUE(TreeIsValid(env.durable->tree()));
   ExpectMatchesOracle(env.durable->tree(), oracle);
 }
 
@@ -231,7 +228,7 @@ TEST(WalCrashTest, RecoveryIsIdempotent) {
   for (int round = 0; round < 3; ++round) {
     const RecoveryInfo info = env.Crash();
     EXPECT_TRUE(info.opened);
-    ExpectValid(env.durable->tree());
+    EXPECT_TRUE(TreeIsValid(env.durable->tree()));
     ExpectMatchesOracle(env.durable->tree(), oracle);
   }
   // And the recovered tree still accepts writes.
@@ -265,7 +262,7 @@ TEST(WalCrashTest, CleanShutdownSkipsRebuild) {
   env.durable = std::move(reopened).value();
   EXPECT_TRUE(env.durable->recovery_info().clean_shutdown);
   EXPECT_FALSE(env.durable->recovery_info().recovered);
-  ExpectValid(env.durable->tree());
+  EXPECT_TRUE(TreeIsValid(env.durable->tree()));
   ExpectMatchesOracle(env.durable->tree(), oracle);
 }
 
@@ -329,7 +326,7 @@ TEST(WalCrashTest, PoisonedCommitRecoversAckedPrefix) {
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
   durable = std::move(reopened).value();
   EXPECT_FALSE(durable->poisoned());
-  ExpectValid(durable->tree());
+  EXPECT_TRUE(TreeIsValid(durable->tree()));
   ExpectMatchesOracle(durable->tree(), oracle);
   // Writable again after recovery.
   ASSERT_TRUE(durable->Insert(Rect(0, 0, 1, 1), Rid{100, 0}).ok());
@@ -353,7 +350,7 @@ TEST(WalCrashTest, BulkLoadSurvivesCrash) {
   const RecoveryInfo info = env.Crash();
   EXPECT_TRUE(info.recovered);
   EXPECT_EQ(info.snapshot_entries, 200u);
-  ExpectValid(env.durable->tree());
+  EXPECT_TRUE(TreeIsValid(env.durable->tree()));
   ExpectMatchesOracle(env.durable->tree(), oracle);
 }
 
@@ -445,7 +442,7 @@ TEST(WalCrashTest, ConcurrentReadersVsWriter) {
   const service::WriteMetricsSnapshot wm = svc.write_metrics();
   EXPECT_EQ(wm.committed(), 400u);
   EXPECT_EQ(wm.failed, 0u);
-  ExpectValid(env.durable->tree());
+  EXPECT_TRUE(TreeIsValid(env.durable->tree()));
   ExpectMatchesOracle(env.durable->tree(), oracle);
 
   // And the whole thing survives one more power loss.
