@@ -56,7 +56,6 @@ struct Flags {
   uint32_t page_size = 512;
   size_t pool_pages = 4096;
   size_t threads = 4;
-  size_t queue = 256;
   size_t cache_bytes = 0;
   double quota_qps = 0.0;
   double quota_burst = 16.0;
@@ -71,7 +70,7 @@ void Usage(const char* argv0) {
       stderr,
       "usage: %s [--unix=PATH] [--port=N] [--file=PATH [--build]]\n"
       "          [--objects=N] [--overlay=N] [--seed=S] [--page-size=B]\n"
-      "          [--pool-pages=N] [--threads=N] [--queue=N]\n"
+      "          [--pool-pages=N] [--threads=N]\n"
       "          [--cache-bytes=N] [--quota-qps=Q] [--quota-burst=B]\n"
       "          [--max-conns=N] [--max-inflight=N] [--allow-admin]\n"
       "          [--no-catalog]\n",
@@ -113,8 +112,6 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
       flags->pool_pages = std::strtoull(value.c_str(), nullptr, 10);
     } else if (ParseFlag(arg, "threads", &value)) {
       flags->threads = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "queue", &value)) {
-      flags->queue = std::strtoull(value.c_str(), nullptr, 10);
     } else if (ParseFlag(arg, "cache-bytes", &value)) {
       flags->cache_bytes = std::strtoull(value.c_str(), nullptr, 10);
     } else if (ParseFlag(arg, "quota-qps", &value)) {
@@ -342,7 +339,6 @@ int Run(int argc, char** argv) {
 
   service::ServiceOptions service_options;
   service_options.num_threads = flags.threads;
-  service_options.queue_capacity = flags.queue;
   service::QueryService service(&*tree,
                                 executor.has_value() ? &*executor : nullptr,
                                 service_options);

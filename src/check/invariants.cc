@@ -110,6 +110,7 @@ struct CheckWalk : rtree::SearchPolicy<CheckFrame> {
   Status OnUnreadable(const CheckFrame& frame, const Status& loaded) {
     if (Admit(frame.ref.id)) {
       Add(ViolationKind::kUnreadablePage, frame.ref.id, loaded.ToString());
+      unreadable.insert(frame.ref.id);
     }
     return Status::OK();
   }
@@ -192,6 +193,7 @@ struct CheckWalk : rtree::SearchPolicy<CheckFrame> {
   NodeRef root;
   ValidationReport* report;
   std::unordered_set<PageId> visited;
+  std::unordered_set<PageId> unreadable;  // reported by the walk
   std::vector<PageId> walk_order;  // the pages reached, in walk order
   std::vector<Rect> leaf_mbrs;     // non-empty leaves (measure_quality)
 };
@@ -206,7 +208,7 @@ ValidationReport TreeValidator::Check(const rtree::RTree& tree) const {
   // Root page and level from one snapshot: the walk's expected levels,
   // its is-root test and the reported depth all describe one shape.
   const NodeRef root = rtree::Traversal<CheckWalk>::Root(tree);
-  CheckWalk check{{}, tree, options_, root, &report, {}, {}, {}};
+  CheckWalk check{{}, tree, options_, root, &report, {}, {}, {}, {}};
   rtree::Traversal<CheckWalk> walk({&tree}, CheckFrame{root, Rect()}, {},
                                    nullptr);
   // Report-and-continue: every fault went to the report, so the walk
@@ -239,7 +241,14 @@ ValidationReport TreeValidator::Check(const rtree::RTree& tree) const {
       std::vector<char> raw(disk->page_size());
       for (const PageId id : check.walk_order) {
         const Status read = disk->ReadPage(id, raw.data());
-        if (!read.ok()) continue;  // already reported as unreadable above
+        if (!read.ok()) {
+          // The walk may have read this page from the pool's cache; then
+          // only this raw read shows the medium has lost it.
+          if (!check.unreadable.contains(id)) {
+            check.Add(ViolationKind::kUnreadablePage, id, read.ToString());
+          }
+          continue;
+        }
         const Status crc =
             storage::VerifyPageTrailer(raw.data(), disk->page_size(), id);
         if (!crc.ok()) {

@@ -42,8 +42,8 @@ struct ResultCacheStats {
 /// be inserted — the server only caches complete OK answers.
 ///
 /// Thread-safe: keys hash to one of `shards` independently locked
-/// shards, so worker-thread insertions and the serving thread's lookups
-/// contend only within a shard.
+/// shards, so lookups and insertions from the serving threads contend
+/// only within a shard.
 class ResultCache {
  public:
   /// `capacity_bytes` bounds the sum of cached payload bytes across all

@@ -4,13 +4,15 @@
 #include <errno.h>
 #include <fcntl.h>
 #include <netinet/in.h>
-#include <poll.h>
 #include <signal.h>
 #include <string.h>
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <utility>
 #include <vector>
@@ -18,20 +20,16 @@
 namespace pictdb::net {
 namespace {
 
-// Signal → drain plumbing. The handler may only touch lock-free atomics
-// and write(2); the serving loop of the registered server picks the flag
-// up on its next wake. Registration is per-process, latest wins.
+// Signal → drain plumbing: the handler calls the registered server's
+// RequestDrain, which is async-signal-safe. Registration is
+// per-process, latest wins.
 std::atomic<Server*> g_signal_server{nullptr};
-std::atomic<int> g_signal_wake_fd{-1};
-std::atomic<bool> g_signal_drain{false};
 
 void OnDrainSignal(int /*signo*/) {
-  g_signal_drain.store(true, std::memory_order_release);
-  const int fd = g_signal_wake_fd.load(std::memory_order_acquire);
-  if (fd >= 0) {
-    const char byte = 's';
-    [[maybe_unused]] const ssize_t n = write(fd, &byte, 1);
-  }
+  const int saved_errno = errno;
+  Server* server = g_signal_server.load(std::memory_order_acquire);
+  if (server != nullptr) server->RequestDrain();
+  errno = saved_errno;
 }
 
 Status SetNonBlocking(int fd) {
@@ -150,20 +148,6 @@ Response BuildQueryResponse(MsgType request_type,
 
 }  // namespace
 
-/// Per-client connection state, owned exclusively by the serving thread.
-struct Server::Connection {
-  Connection(uint64_t id_in, int fd_in, const TokenBucket& bucket_in)
-      : id(id_in), fd(fd_in), bucket(bucket_in) {}
-
-  uint64_t id;
-  int fd;
-  std::string rbuf;               // frame reassembly buffer
-  std::deque<std::string> wbuf;   // encoded frames awaiting send
-  size_t woff = 0;                // bytes of wbuf.front() already sent
-  TokenBucket bucket;
-  size_t inflight = 0;            // queries submitted, response not yet out
-  bool close_after_flush = false;
-};
 
 Server::Server(const Bindings& bindings, const ServerOptions& options)
     : bindings_(bindings),
@@ -175,10 +159,10 @@ Server::~Server() {
   if (g_signal_server.load(std::memory_order_acquire) == this) {
     InstallSignalHandlers(nullptr);
   }
-  if (wake_read_fd_ >= 0) close(wake_read_fd_);
-  if (wake_write_fd_ >= 0) close(wake_write_fd_);
-  wake_read_fd_ = -1;
-  wake_write_fd_ = -1;
+  if (epoll_fd_ >= 0) close(epoll_fd_);
+  if (wake_fd_ >= 0) close(wake_fd_);
+  epoll_fd_ = -1;
+  wake_fd_ = -1;
 }
 
 Status Server::Start() {
@@ -193,16 +177,19 @@ Status Server::Start() {
   }
   if (options_.allow_writes) {
     // Every committed mutation makes cached query answers stale; the
-    // commit hook runs on the committing worker, after the WAL fsync.
+    // commit hook runs on the committing thread, after the WAL fsync.
     bindings_.service->SetCommitHook([this] { InvalidateCache(); });
   }
 
-  int pipe_fds[2];
-  if (pipe(pipe_fds) != 0) return Status::IOError("pipe() failed");
-  wake_read_fd_ = pipe_fds[0];
-  wake_write_fd_ = pipe_fds[1];
-  PICTDB_RETURN_IF_ERROR(SetNonBlocking(wake_read_fd_));
-  PICTDB_RETURN_IF_ERROR(SetNonBlocking(wake_write_fd_));
+  epoll_fd_ = epoll_create1(EPOLL_CLOEXEC);
+  if (epoll_fd_ < 0) return Status::IOError("epoll_create1() failed");
+  wake_fd_ = eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  if (wake_fd_ < 0) return Status::IOError("eventfd() failed");
+  // Level-triggered and never read: once written, every serving thread's
+  // epoll_wait reports it.
+  if (!Arm(EPOLL_CTL_ADD, wake_fd_, &wake_fd_, EPOLLIN)) {
+    return Status::IOError("epoll_ctl(eventfd) failed");
+  }
 
   if (!options_.unix_path.empty()) {
     sockaddr_un addr{};
@@ -224,6 +211,10 @@ Status Server::Start() {
       return Status::IOError("listen(unix) failed");
     }
     PICTDB_RETURN_IF_ERROR(SetNonBlocking(unix_listen_fd_));
+    if (!Arm(EPOLL_CTL_ADD, unix_listen_fd_, &unix_listen_fd_,
+             EPOLLIN | EPOLLONESHOT)) {
+      return Status::IOError("epoll_ctl(unix listener) failed");
+    }
   }
 
   if (options_.tcp_port >= 0) {
@@ -253,21 +244,36 @@ Status Server::Start() {
                     &len) == 0) {
       tcp_port_ = ntohs(bound.sin_port);
     }
+    if (!Arm(EPOLL_CTL_ADD, tcp_listen_fd_, &tcp_listen_fd_,
+             EPOLLIN | EPOLLONESHOT)) {
+      return Status::IOError("epoll_ctl(tcp listener) failed");
+    }
   }
 
   started_.store(true, std::memory_order_release);
   running_.store(true, std::memory_order_release);
-  serve_thread_ = std::thread(&Server::Run, this);
+  const size_t n =
+      std::max<size_t>(1, bindings_.service->options().num_threads);
+  live_threads_.store(n, std::memory_order_release);
+  threads_.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    threads_.emplace_back(&Server::ServeLoop, this);
+  }
+  if (drain_requested_.load(std::memory_order_acquire)) RequestDrain();
   return Status::OK();
 }
 
 void Server::RequestDrain() {
   drain_requested_.store(true, std::memory_order_release);
-  WakeLoop();
+  if (wake_fd_ < 0) return;  // not started: Start() posts the wake
+  const uint64_t one = 1;
+  [[maybe_unused]] const ssize_t n = write(wake_fd_, &one, sizeof(one));
 }
 
 void Server::Join() {
-  if (serve_thread_.joinable()) serve_thread_.join();
+  for (std::thread& t : threads_) {
+    if (t.joinable()) t.join();
+  }
 }
 
 void Server::Stop() {
@@ -277,19 +283,14 @@ void Server::Stop() {
 }
 
 void Server::InstallSignalHandlers(Server* server) {
+  g_signal_server.store(server, std::memory_order_release);
   if (server != nullptr) {
-    g_signal_drain.store(false, std::memory_order_release);
-    g_signal_wake_fd.store(server->wake_write_fd_, std::memory_order_release);
-    g_signal_server.store(server, std::memory_order_release);
     struct sigaction action = {};
     action.sa_handler = OnDrainSignal;
     sigemptyset(&action.sa_mask);
     action.sa_flags = 0;
     (void)sigaction(SIGINT, &action, nullptr);
     (void)sigaction(SIGTERM, &action, nullptr);
-  } else {
-    g_signal_server.store(nullptr, std::memory_order_release);
-    g_signal_wake_fd.store(-1, std::memory_order_release);
   }
 }
 
@@ -307,7 +308,6 @@ ServerStatsSnapshot Server::Stats() const {
   s.cache_hits = cache_.Stats().hits;
   return s;
 }
-
 void Server::DumpStats(std::FILE* out) const {
   const ServerStatsSnapshot net = Stats();
   fprintf(out,
@@ -362,36 +362,11 @@ void Server::DumpStats(std::FILE* out) const {
   }
 }
 
-void Server::WakeLoop() {
-  const int fd = wake_write_fd_;
-  if (fd < 0) return;
-  const char byte = 'w';
-  // A full pipe already guarantees a pending wake; EAGAIN is fine.
-  [[maybe_unused]] const ssize_t n = write(fd, &byte, 1);
-}
-
-void Server::EnqueueFromWorker(PendingResponse pending) {
-  {
-    MutexLock lock(&mu_);
-    pending_.push_back(std::move(pending));
-  }
-  WakeLoop();
-}
-
-void Server::ApplyPending() {
-  std::deque<PendingResponse> batch;
-  {
-    MutexLock lock(&mu_);
-    batch.swap(pending_);
-  }
-  for (PendingResponse& p : batch) {
-    if (p.query_completion && inflight_total_ > 0) --inflight_total_;
-    auto it = conns_.find(p.conn_id);
-    if (it == conns_.end()) continue;  // client left before the answer
-    Connection* conn = it->second.get();
-    if (p.query_completion && conn->inflight > 0) --conn->inflight;
-    conn->wbuf.push_back(std::move(p.frame));
-  }
+bool Server::Arm(int op, int fd, void* tag, uint32_t events) {
+  epoll_event ev{};
+  ev.events = events;
+  ev.data.ptr = tag;
+  return epoll_ctl(epoll_fd_, op, fd, &ev) == 0;
 }
 
 void Server::CloseListeners() {
@@ -406,60 +381,87 @@ void Server::CloseListeners() {
   }
 }
 
-void Server::CloseConnection(uint64_t conn_id) {
-  auto it = conns_.find(conn_id);
-  if (it == conns_.end()) return;
-  close(it->second->fd);
-  // In-flight queries for this connection keep inflight_total_ raised
-  // until their callbacks land in ApplyPending (which tolerates the
-  // missing conn), so drain still waits for them.
-  conns_.erase(it);
+void Server::CloseConnection(Connection* conn) {
+  close(conn->fd);  // also drops it from the epoll set
+  MutexLock lock(&conns_mu_);
+  conns_.erase(conn->id);
 }
 
 void Server::AcceptFrom(int listen_fd) {
   for (;;) {
-    const int fd = accept(listen_fd, nullptr, nullptr);
+    const int fd =
+        accept4(listen_fd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) {
       if (errno == EINTR) continue;
       break;  // EAGAIN or transient accept failure: retry next round
     }
-    if (!SetNonBlocking(fd).ok()) {
-      close(fd);
-      continue;
+    Connection* conn = nullptr;
+    {
+      MutexLock lock(&conns_mu_);
+      if (conns_.size() < options_.max_connections) {
+        const uint64_t id = next_conn_id_++;
+        auto owned = std::make_unique<Connection>(
+            id, fd,
+            TokenBucket(options_.quota_qps, options_.quota_burst,
+                        std::chrono::steady_clock::now()));
+        conn = owned.get();
+        conns_.emplace(id, std::move(owned));
+      }
     }
-    if (conns_.size() >= options_.max_connections) {
+    if (conn == nullptr) {
       connections_rejected_.fetch_add(1, std::memory_order_relaxed);
       Response response;
       response.body = ErrorResponse::FromStatus(
           Status::ResourceExhausted("connection limit reached"));
       const std::string frame = EncodeFrame(
           MsgType::kError, 0, 0, EncodeResponsePayload(response));
-      (void)send(fd, frame.data(), frame.size(),
-                 MSG_NOSIGNAL | MSG_DONTWAIT);
+      (void)send(fd, frame.data(), frame.size(), MSG_NOSIGNAL);
       close(fd);
       continue;
     }
     connections_accepted_.fetch_add(1, std::memory_order_relaxed);
-    const uint64_t id = next_conn_id_++;
-    conns_.emplace(
-        id, std::make_unique<Connection>(
-                id, fd,
-                TokenBucket(options_.quota_qps, options_.quota_burst,
-                            std::chrono::steady_clock::now())));
+    // From here on any serving thread may own the connection.
+    if (!Arm(EPOLL_CTL_ADD, fd, conn, EPOLLIN | EPOLLONESHOT)) {
+      CloseConnection(conn);
+    }
   }
 }
 
-void Server::ReplyNow(Connection* conn, MsgType type, uint32_t flags,
-                      uint32_t request_id, std::string_view payload) {
+bool Server::FlushConnection(Connection* conn) {
+  while (!conn->wbuf.empty()) {
+    const std::string& front = conn->wbuf.front();
+    const ssize_t n = send(conn->fd, front.data() + conn->woff,
+                           front.size() - conn->woff, MSG_NOSIGNAL);
+    if (n > 0) {
+      conn->woff += static_cast<size_t>(n);
+      if (conn->woff == front.size()) {
+        conn->wbuf.pop_front();
+        conn->woff = 0;
+      }
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
+    conn->broken = true;
+    return false;
+  }
+  return true;
+}
+
+void Server::Reply(Connection* conn, MsgType type, uint32_t flags,
+                   uint32_t request_id, std::string_view payload) {
+  if (conn->broken) return;
   conn->wbuf.push_back(EncodeFrame(type, flags, request_id, payload));
+  // Behind a blocked send, the new frame waits for EPOLLOUT in order.
+  if (conn->wbuf.size() == 1) (void)FlushConnection(conn);
 }
 
 void Server::ReplyError(Connection* conn, uint32_t request_id,
                         const Status& status) {
   Response response;
   response.body = ErrorResponse::FromStatus(status);
-  ReplyNow(conn, MsgType::kError, 0, request_id,
-           EncodeResponsePayload(response));
+  Reply(conn, MsgType::kError, 0, request_id,
+        EncodeResponsePayload(response));
 }
 
 StatsResponse Server::BuildStats() const {
@@ -494,31 +496,38 @@ StatsResponse Server::BuildStats() const {
   return s;
 }
 
-void Server::HandleQueryRequest(Connection* conn, const FrameHeader& header,
-                                Request request) {
-  // Admission layering: quota, then the per-connection in-flight bound.
-  // The service's bounded queue is the final gate below.
+bool Server::Admit(Connection* conn, uint32_t request_id) {
   if (!conn->bucket.TryAcquire(std::chrono::steady_clock::now())) {
     quota_rejections_.fetch_add(1, std::memory_order_relaxed);
-    ReplyError(conn, header.request_id,
+    ReplyError(conn, request_id,
                Status::ResourceExhausted("per-client quota exceeded"));
-    return;
+    return false;
   }
-  if (conn->inflight >= options_.max_inflight_per_conn) {
+  if (conn->wbuf.size() >= options_.max_inflight_per_conn) {
     backpressure_rejections_.fetch_add(1, std::memory_order_relaxed);
-    ReplyError(conn, header.request_id,
+    ReplyError(conn, request_id,
                Status::ResourceExhausted("too many in-flight requests"));
-    return;
+    return false;
   }
+  return true;
+}
 
-  std::string key = CacheKey(request);
-  std::string cached;  // 1 response-type byte + payload
-  if (cache_.Lookup(key, &cached) && !cached.empty()) {
-    const MsgType cached_type = static_cast<MsgType>(
-        static_cast<uint8_t>(cached[0]));
-    ReplyNow(conn, cached_type, kFlagCached, header.request_id,
-             std::string_view(cached).substr(1));
-    return;
+void Server::HandleQueryRequest(Connection* conn, const FrameHeader& header,
+                                Request request) {
+  if (!Admit(conn, header.request_id)) return;
+
+  const bool use_cache = options_.cache_bytes > 0;
+  std::string key;
+  if (use_cache) {
+    key = CacheKey(request);
+    std::string cached;  // 1 response-type byte + payload
+    if (cache_.Lookup(key, &cached) && !cached.empty()) {
+      const MsgType cached_type =
+          static_cast<MsgType>(static_cast<uint8_t>(cached[0]));
+      Reply(conn, cached_type, kFlagCached, header.request_id,
+            std::string_view(cached).substr(1));
+      return;
+    }
   }
 
   service::Query query;
@@ -551,71 +560,32 @@ void Server::HandleQueryRequest(Connection* conn, const FrameHeader& header,
       std::chrono::microseconds(request.options.timeout_us);
   query_options.degraded_ok = request.options.degraded_ok;
 
-  ++conn->inflight;
-  ++inflight_total_;
-  const uint64_t conn_id = conn->id;
-  const uint32_t request_id = header.request_id;
-  const MsgType request_type = header.type;
-  const Status submit_status = bindings_.service->SubmitWithCallback(
-      std::move(query), query_options,
-      [this, conn_id, request_id, request_type,
-       key = std::move(key)](StatusOr<service::QueryResult> outcome) {
-        PendingResponse pending;
-        pending.conn_id = conn_id;
-        pending.query_completion = true;
-        if (!outcome.ok()) {
-          Response response;
-          response.body = ErrorResponse::FromStatus(outcome.status());
-          pending.frame = EncodeFrame(MsgType::kError, 0, request_id,
-                                      EncodeResponsePayload(response));
-        } else {
-          const service::QueryResult& result = *outcome;
-          const Response response = BuildQueryResponse(request_type, result);
-          const std::string payload = EncodeResponsePayload(response);
-          const MsgType response_type = ResponseMsgType(response);
-          if (!result.degraded && payload.size() < kMaxPayloadBytes) {
-            // Cache only complete OK answers, with the response type
-            // prefixed so a hit can replay the exact frame.
-            std::string value;
-            value.reserve(payload.size() + 1);
-            value.push_back(static_cast<char>(response_type));
-            value.append(payload);
-            cache_.Insert(key, value);
-          }
-          pending.frame =
-              EncodeFrame(response_type,
-                          result.degraded ? kFlagDegraded : 0u, request_id,
-                          payload);
-        }
-        EnqueueFromWorker(std::move(pending));
-      });
-  if (!submit_status.ok()) {
-    // Rejected at the service's bounded admission queue (the last
-    // backpressure layer): undo accounting and shed with the same
-    // structured ResourceExhausted the other layers use.
-    --conn->inflight;
-    --inflight_total_;
-    backpressure_rejections_.fetch_add(1, std::memory_order_relaxed);
-    ReplyError(conn, request_id, submit_status);
+  const StatusOr<service::QueryResult> outcome =
+      bindings_.service->Execute(query, query_options);
+  if (!outcome.ok()) {
+    ReplyError(conn, header.request_id, outcome.status());
+    return;
   }
+  const service::QueryResult& result = *outcome;
+  const Response response = BuildQueryResponse(header.type, result);
+  const std::string payload = EncodeResponsePayload(response);
+  const MsgType response_type = ResponseMsgType(response);
+  if (use_cache && !result.degraded && payload.size() < kMaxPayloadBytes) {
+    // Cache only complete OK answers, with the response type prefixed
+    // so a hit can replay the exact frame.
+    std::string value;
+    value.reserve(payload.size() + 1);
+    value.push_back(static_cast<char>(response_type));
+    value.append(payload);
+    cache_.Insert(key, value);
+  }
+  Reply(conn, response_type, result.degraded ? kFlagDegraded : 0u,
+        header.request_id, payload);
 }
 
 void Server::HandleWriteRequest(Connection* conn, const FrameHeader& header,
                                 const Request& request) {
-  // Writes share the query admission layers: quota, per-connection
-  // in-flight bound, then the service's bounded queue.
-  if (!conn->bucket.TryAcquire(std::chrono::steady_clock::now())) {
-    quota_rejections_.fetch_add(1, std::memory_order_relaxed);
-    ReplyError(conn, header.request_id,
-               Status::ResourceExhausted("per-client quota exceeded"));
-    return;
-  }
-  if (conn->inflight >= options_.max_inflight_per_conn) {
-    backpressure_rejections_.fetch_add(1, std::memory_order_relaxed);
-    ReplyError(conn, header.request_id,
-               Status::ResourceExhausted("too many in-flight requests"));
-    return;
-  }
+  if (!Admit(conn, header.request_id)) return;
 
   service::WriteOp op;
   if (const auto* ins = std::get_if<InsertRequest>(&request.body)) {
@@ -634,35 +604,17 @@ void Server::HandleWriteRequest(Connection* conn, const FrameHeader& header,
     return;
   }
 
-  ++conn->inflight;
-  ++inflight_total_;
-  const uint64_t conn_id = conn->id;
-  const uint32_t request_id = header.request_id;
-  const Status submit_status = bindings_.service->SubmitWriteWithCallback(
-      std::move(op), [this, conn_id, request_id](Status outcome) {
-        // The kOk frame is only built after ExecuteWrite returned, i.e.
-        // after the WAL append + fsync: an acked write is durable.
-        PendingResponse pending;
-        pending.conn_id = conn_id;
-        pending.query_completion = true;
-        Response response;
-        if (outcome.ok()) {
-          response.body = OkResponse{};
-          pending.frame = EncodeFrame(MsgType::kOk, 0, request_id,
-                                      EncodeResponsePayload(response));
-        } else {
-          response.body = ErrorResponse::FromStatus(outcome);
-          pending.frame = EncodeFrame(MsgType::kError, 0, request_id,
-                                      EncodeResponsePayload(response));
-        }
-        EnqueueFromWorker(std::move(pending));
-      });
-  if (!submit_status.ok()) {
-    --conn->inflight;
-    --inflight_total_;
-    backpressure_rejections_.fetch_add(1, std::memory_order_relaxed);
-    ReplyError(conn, request_id, submit_status);
+  // The kOk frame is only built after ExecuteWrite returned, i.e. after
+  // the WAL append + fsync: an acked write is durable.
+  const Status outcome = bindings_.service->ExecuteWrite(op);
+  if (!outcome.ok()) {
+    ReplyError(conn, header.request_id, outcome);
+    return;
   }
+  Response response;
+  response.body = OkResponse{};
+  Reply(conn, MsgType::kOk, 0, header.request_id,
+        EncodeResponsePayload(response));
 }
 
 void Server::HandleFrame(Connection* conn, const FrameHeader& header,
@@ -688,15 +640,15 @@ void Server::HandleFrame(Connection* conn, const FrameHeader& header,
     case MsgType::kPing: {
       Response response;
       response.body = PongResponse{};
-      ReplyNow(conn, MsgType::kPong, 0, header.request_id,
-               EncodeResponsePayload(response));
+      Reply(conn, MsgType::kPong, 0, header.request_id,
+            EncodeResponsePayload(response));
       return;
     }
     case MsgType::kStats: {
       Response response;
       response.body = BuildStats();
-      ReplyNow(conn, MsgType::kStatsResult, 0, header.request_id,
-               EncodeResponsePayload(response));
+      Reply(conn, MsgType::kStatsResult, 0, header.request_id,
+            EncodeResponsePayload(response));
       return;
     }
     case MsgType::kSetFaults: {
@@ -717,8 +669,8 @@ void Server::HandleFrame(Connection* conn, const FrameHeader& header,
       }
       Response response;
       response.body = OkResponse{};
-      ReplyNow(conn, MsgType::kOk, 0, header.request_id,
-               EncodeResponsePayload(response));
+      Reply(conn, MsgType::kOk, 0, header.request_id,
+            EncodeResponsePayload(response));
       return;
     }
     case MsgType::kInvalidate: {
@@ -730,8 +682,8 @@ void Server::HandleFrame(Connection* conn, const FrameHeader& header,
       cache_.BumpEpoch();
       Response response;
       response.body = OkResponse{};
-      ReplyNow(conn, MsgType::kOk, 0, header.request_id,
-               EncodeResponsePayload(response));
+      Reply(conn, MsgType::kOk, 0, header.request_id,
+            EncodeResponsePayload(response));
       return;
     }
     case MsgType::kInsert:
@@ -770,10 +722,15 @@ bool Server::ReadConnection(Connection* conn) {
     return false;  // hard socket error
   }
 
-  while (conn->rbuf.size() >= kFrameHeaderSize && !conn->close_after_flush) {
+  // Frames are consumed by offset and the buffer is compacted once, so a
+  // burst of N frames moves its bytes once, not N times.
+  const std::string_view bytes(conn->rbuf);
+  size_t consumed = 0;
+  while (bytes.size() - consumed >= kFrameHeaderSize &&
+         !conn->close_after_flush && !conn->broken) {
+    const std::string_view rest = bytes.substr(consumed);
     FrameHeader header;
-    const Status header_status =
-        DecodeFrameHeader(std::string_view(conn->rbuf), &header);
+    const Status header_status = DecodeFrameHeader(rest, &header);
     if (!header_status.ok()) {
       // Bad magic/version/type/length: the stream can never resync, so
       // answer with a structured error and close once it is flushed.
@@ -783,144 +740,78 @@ bool Server::ReadConnection(Connection* conn) {
       break;
     }
     const size_t frame_size = kFrameHeaderSize + header.payload_len;
-    if (conn->rbuf.size() < frame_size) break;  // wait for the payload
+    if (rest.size() < frame_size) break;  // wait for the payload
     frames_received_.fetch_add(1, std::memory_order_relaxed);
-    const std::string_view payload =
-        std::string_view(conn->rbuf).substr(kFrameHeaderSize,
-                                            header.payload_len);
-    HandleFrame(conn, header, payload);
-    conn->rbuf.erase(0, frame_size);
+    HandleFrame(conn, header,
+                rest.substr(kFrameHeaderSize, header.payload_len));
+    consumed += frame_size;
   }
+  conn->rbuf.erase(0, consumed);
   return !peer_closed;
 }
 
-bool Server::FlushConnection(Connection* conn) {
-  while (!conn->wbuf.empty()) {
-    const std::string& front = conn->wbuf.front();
-    const ssize_t n = send(conn->fd, front.data() + conn->woff,
-                           front.size() - conn->woff, MSG_NOSIGNAL);
-    if (n > 0) {
-      conn->woff += static_cast<size_t>(n);
-      if (conn->woff == front.size()) {
-        conn->wbuf.pop_front();
-        conn->woff = 0;
-      }
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return true;
-    return false;  // peer gone
-  }
-  return !conn->close_after_flush;
+bool Server::Serve(Connection* conn, uint32_t events) {
+  MutexLock lock(&conn->mu);
+  if (events & EPOLLERR) return false;
+  if ((events & EPOLLOUT) && !FlushConnection(conn)) return false;
+  // A drain stops reading, and nothing is re-armed: FinishDrain flushes
+  // and closes what is left. Frames already read are answered in full.
+  if (drain_requested_.load(std::memory_order_acquire)) return true;
+  if ((events & EPOLLIN) && !ReadConnection(conn)) return false;
+  if (conn->broken || (events & EPOLLHUP)) return false;
+  if (conn->close_after_flush && conn->wbuf.empty()) return false;
+  uint32_t want = EPOLLONESHOT;
+  if (!conn->close_after_flush) want |= EPOLLIN;
+  if (!conn->wbuf.empty()) want |= EPOLLOUT;
+  // Re-armed under the lock: the next thread to serve the connection
+  // takes the lock after this turn released it, which is the order the
+  // thread-safety analysis and TSan check.
+  return Arm(EPOLL_CTL_MOD, conn->fd, conn, want);
 }
 
-void Server::Run() {
-  std::vector<pollfd> pfds;
-  std::vector<uint64_t> pfd_conn_ids;  // parallel to pfds; 0 = not a conn
-  bool listeners_open = true;
-
+void Server::ServeLoop() {
   for (;;) {
-    if (g_signal_server.load(std::memory_order_acquire) == this &&
-        g_signal_drain.load(std::memory_order_acquire)) {
-      drain_requested_.store(true, std::memory_order_release);
+    epoll_event ev;
+    const int ready = epoll_wait(epoll_fd_, &ev, 1, /*timeout=*/-1);
+    if (ready < 0 && errno == EINTR) continue;
+    if (ready <= 0) break;  // epoll itself failed
+    void* const tag = ev.data.ptr;
+    if (tag == &wake_fd_) break;  // drain requested
+    if (tag == &unix_listen_fd_ || tag == &tcp_listen_fd_) {
+      // Stop accepting in a drain; FinishDrain closes the listener.
+      if (drain_requested_.load(std::memory_order_acquire)) continue;
+      const int listen_fd = *static_cast<const int*>(tag);
+      AcceptFrom(listen_fd);
+      (void)Arm(EPOLL_CTL_MOD, listen_fd, tag, EPOLLIN | EPOLLONESHOT);
+      continue;
     }
-    const bool draining = drain_requested_.load(std::memory_order_acquire);
-    if (draining && listeners_open) {
-      CloseListeners();
-      listeners_open = false;
-    }
-
-    ApplyPending();
-
-    if (draining) {
-      // Admitted queries finish through the service; once every response
-      // is out the door we are done.
-      bool all_flushed = inflight_total_ == 0;
-      for (const auto& [id, conn] : conns_) {
-        if (!conn->wbuf.empty()) {
-          all_flushed = false;
-          break;
-        }
-      }
-      if (all_flushed) break;
-    }
-
-    pfds.clear();
-    pfd_conn_ids.clear();
-    pfds.push_back(pollfd{wake_read_fd_, POLLIN, 0});
-    pfd_conn_ids.push_back(0);
-    if (listeners_open) {
-      if (unix_listen_fd_ >= 0) {
-        pfds.push_back(pollfd{unix_listen_fd_, POLLIN, 0});
-        pfd_conn_ids.push_back(0);
-      }
-      if (tcp_listen_fd_ >= 0) {
-        pfds.push_back(pollfd{tcp_listen_fd_, POLLIN, 0});
-        pfd_conn_ids.push_back(0);
-      }
-    }
-    for (const auto& [id, conn] : conns_) {
-      short events = 0;
-      if (!draining && !conn->close_after_flush) events |= POLLIN;
-      if (!conn->wbuf.empty()) events |= POLLOUT;
-      pfds.push_back(pollfd{conn->fd, events, 0});
-      pfd_conn_ids.push_back(id);
-    }
-
-    const int ready = poll(pfds.data(), pfds.size(), /*timeout_ms=*/100);
-    if (ready < 0 && errno != EINTR) break;  // poll itself failed
-
-    std::vector<uint64_t> to_close;
-    for (size_t i = 0; i < pfds.size(); ++i) {
-      const pollfd& p = pfds[i];
-      if (p.revents == 0) continue;
-      if (p.fd == wake_read_fd_) {
-        char drain_buf[256];
-        while (read(wake_read_fd_, drain_buf, sizeof(drain_buf)) > 0) {
-        }
-        continue;
-      }
-      if (p.fd == unix_listen_fd_ || p.fd == tcp_listen_fd_) {
-        AcceptFrom(p.fd);
-        continue;
-      }
-      const uint64_t conn_id = pfd_conn_ids[i];
-      auto it = conns_.find(conn_id);
-      if (it == conns_.end()) continue;
-      Connection* conn = it->second.get();
-      bool keep = true;
-      if (p.revents & (POLLERR | POLLNVAL)) keep = false;
-      if (keep && (p.revents & POLLIN)) keep = ReadConnection(conn);
-      if (keep && (p.revents & (POLLOUT | POLLHUP)) &&
-          !conn->wbuf.empty()) {
-        keep = FlushConnection(conn);
-      }
-      if (keep && conn->close_after_flush && conn->wbuf.empty()) {
-        keep = false;
-      }
-      if (keep && (p.revents & POLLHUP) && conn->wbuf.empty()) keep = false;
-      if (!keep) to_close.push_back(conn_id);
-    }
-    for (const uint64_t id : to_close) CloseConnection(id);
-
-    // Opportunistic flush for responses enqueued by ApplyPending or
-    // HandleFrame this round (the sockets are almost always writable).
-    std::vector<uint64_t> flush_failed;
-    for (const auto& [id, conn] : conns_) {
-      if (conn->wbuf.empty()) {
-        if (conn->close_after_flush) flush_failed.push_back(id);
-        continue;
-      }
-      if (!FlushConnection(conn.get())) flush_failed.push_back(id);
-    }
-    for (const uint64_t id : flush_failed) CloseConnection(id);
+    Connection* conn = static_cast<Connection*>(tag);
+    if (!Serve(conn, ev.events)) CloseConnection(conn);
   }
+  if (live_threads_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    FinishDrain();
+  }
+}
 
-  // Drained: everything admitted has been answered and flushed. The
-  // wake pipe stays open until the destructor — late worker callbacks
-  // may still write it.
-  for (const auto& [id, conn] : conns_) close(conn->fd);
-  conns_.clear();
+void Server::FinishDrain() {
+  // Every other serving thread has exited, so nothing else touches a
+  // connection; the locks only keep the analysis informed.
+  std::unordered_map<uint64_t, std::unique_ptr<Connection>> conns;
+  {
+    MutexLock lock(&conns_mu_);
+    conns.swap(conns_);
+  }
+  for (auto& [id, owned] : conns) {
+    Connection* conn = owned.get();
+    MutexLock lock(&conn->mu);
+    if (!conn->wbuf.empty() && !conn->broken) {
+      // Blocking sends: every request read before the drain is answered.
+      const int flags = fcntl(conn->fd, F_GETFL, 0);
+      if (flags >= 0) (void)fcntl(conn->fd, F_SETFL, flags & ~O_NONBLOCK);
+      (void)FlushConnection(conn);
+    }
+    close(conn->fd);
+  }
   CloseListeners();
   running_.store(false, std::memory_order_release);
 }

@@ -9,6 +9,7 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <vector>
 
 #include "common/mutex.h"
 #include "common/status.h"
@@ -68,28 +69,36 @@ struct ServerStatsSnapshot {
   uint64_t cache_hits = 0;
 };
 
-/// poll(2)-driven binary-protocol front door over one QueryService.
+/// epoll(7)-driven binary-protocol front door over one QueryService.
 ///
-/// Threading model: one serving thread owns every socket and all
-/// connection state — accept, frame reassembly, quota/admission checks,
-/// and response writes all happen there, so connection state needs no
-/// locks. Query execution happens on the QueryService's workers via
-/// SubmitWithCallback; completion callbacks only encode the response,
-/// append it to a mutex-guarded outbox, and wake the serving thread
-/// through a self-pipe. The serving thread never blocks on a query and
-/// the workers never touch a socket.
+/// Threading model: run to completion. The service's `num_threads`
+/// serving threads share one epoll set in which every connection is
+/// armed EPOLLIN | EPOLLONESHOT, so the kernel hands a ready connection
+/// to exactly one idle thread. That thread reads and decodes its frames,
+/// runs each query on its own stack (QueryService::Execute, or
+/// ExecuteWrite for writes), sends each response as soon as it is
+/// encoded, and re-arms the connection; only a send that would block
+/// leaves bytes in the connection's write buffer, and the re-arm then
+/// adds EPOLLOUT. Each epoll_wait takes one event, so any idle thread
+/// serves any connection. A per-connection mutex, held while a thread
+/// serves the connection and re-arms it, makes the one-shot hand-off
+/// visible to the thread-safety analysis and to TSan.
 ///
 /// Admission layering (first refusal wins, every refusal is a structured
 /// ResourceExhausted reply):
 ///   1. connection limit (at accept)
 ///   2. per-connection token-bucket quota
-///   3. per-connection in-flight bound
-///   4. the QueryService's bounded admission queue
+///   3. per-connection in-flight bound: requests read whose responses
+///      are not fully written
+/// The wire path does not use the service's bounded queue: the number
+/// of serving threads bounds concurrency, and requests not yet read
+/// wait in the kernel's socket buffers.
 ///
 /// Graceful drain (SIGINT/SIGTERM via InstallSignalHandlers, or
-/// RequestDrain): stop accepting and stop reading, let every admitted
-/// query finish through the service, flush all responses, close, and
-/// exit the serving thread. Stats survive for DumpStats.
+/// RequestDrain): one eventfd write wakes every serving thread; each
+/// finishes the frames it already read, stops reading and accepting,
+/// and exits. The last thread out flushes every pending response and
+/// closes all sockets. Stats survive for DumpStats.
 class Server {
  public:
   /// Everything the server serves. `service` is required and must
@@ -107,22 +116,21 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Bind, listen, and spawn the serving thread.
+  /// Bind, listen, and spawn the serving threads.
   Status Start();
 
-  /// Asynchronously begin graceful drain (signal-safe trigger is the
-  /// self-pipe; this method itself is for programmatic use).
+  /// Begin graceful drain. Async-signal-safe (an atomic exchange and
+  /// one eventfd write), so the signal handler calls it too.
   void RequestDrain();
 
-  /// Wait for the serving thread to exit (after a drain).
+  /// Wait for every serving thread to exit (after a drain).
   void Join();
 
   /// RequestDrain + Join. Idempotent; also run by the destructor.
   void Stop();
 
-  /// Route SIGINT/SIGTERM to this server's drain path. The handler only
-  /// sets a flag and writes the self-pipe (async-signal-safe). Pass
-  /// nullptr to detach before the server dies.
+  /// Route SIGINT/SIGTERM to this server's RequestDrain. Pass nullptr to
+  /// detach before the server dies.
   static void InstallSignalHandlers(Server* server);
 
   /// Actual TCP port (after Start with tcp_port=0) or -1.
@@ -143,34 +151,57 @@ class Server {
   void DumpStats(std::FILE* out) const;
 
  private:
-  struct Connection;
-  struct PendingResponse {
-    uint64_t conn_id = 0;
-    std::string frame;        // fully encoded, ready to write
-    bool query_completion = false;  // decrements in-flight accounting
+  /// Per-client state. EPOLLONESHOT hands a connection to one serving
+  /// thread at a time, and that thread holds `mu` for its whole turn.
+  struct Connection {
+    Connection(uint64_t id_in, int fd_in, const TokenBucket& bucket_in)
+        : id(id_in), fd(fd_in), bucket(bucket_in) {}
+
+    const uint64_t id;
+    const int fd;
+    Mutex mu;
+    std::string rbuf GUARDED_BY(mu);  // frame reassembly buffer
+    /// Encoded responses a send would have blocked on; its length is the
+    /// connection's in-flight count.
+    std::deque<std::string> wbuf GUARDED_BY(mu);
+    size_t woff GUARDED_BY(mu) = 0;  // bytes of wbuf.front() already sent
+    TokenBucket bucket GUARDED_BY(mu);
+    bool close_after_flush GUARDED_BY(mu) = false;
+    bool broken GUARDED_BY(mu) = false;  // a send failed: peer gone
   };
 
-  void Run();  // serving thread main
-  void AcceptFrom(int listen_fd);
-  void CloseListeners();
-  /// Read + frame-reassemble one connection; false = close it.
-  bool ReadConnection(Connection* conn);
-  bool FlushConnection(Connection* conn);  // false = close it
+  void ServeLoop();  // one serving thread
+  void AcceptFrom(int listen_fd) EXCLUDES(conns_mu_);
+  /// Serve one ready connection and re-arm it; false = close it.
+  bool Serve(Connection* conn, uint32_t events) EXCLUDES(conn->mu);
+  /// Read what the socket holds and handle every complete frame; false
+  /// when the peer closed or the socket failed.
+  bool ReadConnection(Connection* conn) REQUIRES(conn->mu);
+  /// Send wbuf until it is empty or a send would block; false when the
+  /// peer is gone.
+  bool FlushConnection(Connection* conn) REQUIRES(conn->mu);
   void HandleFrame(Connection* conn, const FrameHeader& header,
-                   std::string_view payload);
+                   std::string_view payload) REQUIRES(conn->mu);
+  /// Quota and in-flight admission for a query or write; a refusal has
+  /// been answered when this returns false.
+  bool Admit(Connection* conn, uint32_t request_id) REQUIRES(conn->mu);
   void HandleQueryRequest(Connection* conn, const FrameHeader& header,
-                          Request request);
+                          Request request) REQUIRES(conn->mu);
   void HandleWriteRequest(Connection* conn, const FrameHeader& header,
-                          const Request& request);
-  void ReplyNow(Connection* conn, MsgType type, uint32_t flags,
-                uint32_t request_id, std::string_view payload);
+                          const Request& request) REQUIRES(conn->mu);
+  /// Encode one response and send it now; only what a send would block
+  /// on stays queued in wbuf.
+  void Reply(Connection* conn, MsgType type, uint32_t flags,
+             uint32_t request_id, std::string_view payload)
+      REQUIRES(conn->mu);
   void ReplyError(Connection* conn, uint32_t request_id,
-                  const Status& status);
+                  const Status& status) REQUIRES(conn->mu);
   StatsResponse BuildStats() const;
-  void ApplyPending() EXCLUDES(mu_);
-  void EnqueueFromWorker(PendingResponse pending) EXCLUDES(mu_);
-  void WakeLoop();
-  void CloseConnection(uint64_t conn_id);
+  bool Arm(int op, int fd, void* tag, uint32_t events);
+  void CloseListeners();
+  void CloseConnection(Connection* conn) EXCLUDES(conns_mu_);
+  /// Run by the last serving thread to exit: flush, close, unlink.
+  void FinishDrain() EXCLUDES(conns_mu_);
 
   Bindings bindings_;
   ServerOptions options_;
@@ -179,21 +210,18 @@ class Server {
   int unix_listen_fd_ = -1;
   int tcp_listen_fd_ = -1;
   int tcp_port_ = -1;
-  int wake_read_fd_ = -1;
-  int wake_write_fd_ = -1;
+  int epoll_fd_ = -1;
+  int wake_fd_ = -1;  // eventfd: readable once a drain is requested
 
-  // Owned by the serving thread exclusively after Start().
-  std::unordered_map<uint64_t, std::unique_ptr<Connection>> conns_;
-  uint64_t next_conn_id_ = 1;
-  size_t inflight_total_ = 0;
-
-  mutable Mutex mu_;
-  std::deque<PendingResponse> pending_ GUARDED_BY(mu_);
+  mutable Mutex conns_mu_;
+  std::unordered_map<uint64_t, std::unique_ptr<Connection>> conns_
+      GUARDED_BY(conns_mu_);
+  uint64_t next_conn_id_ GUARDED_BY(conns_mu_) = 1;
 
   std::atomic<bool> drain_requested_{false};
   std::atomic<bool> running_{false};
   std::atomic<bool> started_{false};
-  std::thread serve_thread_;
+  std::atomic<size_t> live_threads_{0};
 
   std::atomic<uint64_t> connections_accepted_{0};
   std::atomic<uint64_t> connections_rejected_{0};
@@ -201,6 +229,8 @@ class Server {
   std::atomic<uint64_t> protocol_errors_{0};
   std::atomic<uint64_t> quota_rejections_{0};
   std::atomic<uint64_t> backpressure_rejections_{0};
+
+  std::vector<std::thread> threads_;  // last: uses every member above
 };
 
 }  // namespace pictdb::net

@@ -9,8 +9,8 @@ namespace pictdb::net {
 /// Per-client request quota: a classic token bucket refilled at
 /// `rate_per_sec` up to `burst` tokens. Time is passed in explicitly so
 /// tests are deterministic (no hidden clock reads). Not internally
-/// synchronized — the server touches each connection's bucket only from
-/// the serving thread.
+/// synchronized — the server touches each connection's bucket only
+/// under that connection's mutex.
 class TokenBucket {
  public:
   /// rate_per_sec <= 0 means unlimited (TryAcquire always succeeds).

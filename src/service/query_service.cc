@@ -91,74 +91,70 @@ StatusOr<QueryResult> QueryService::Dispatch(
   return result;
 }
 
-Status QueryService::SubmitWithCallback(
-    Query query, const QueryOptions& options,
-    std::function<void(StatusOr<QueryResult>)> done) {
-  // shared_ptr because std::function requires copyable callables.
-  auto shared_query = std::make_shared<Query>(std::move(query));
-  auto shared_done = std::make_shared<std::function<void(
-      StatusOr<QueryResult>)>>(std::move(done));
-  const size_t variant = shared_query->index();
-
-  // The deadline anchors to submission, not execution start, so queue
+StatusOr<QueryResult> QueryService::RunAdmitted(
+    const Query& query, const QueryOptions& options,
+    std::chrono::steady_clock::time_point admitted) {
+  // The deadline anchors to admission, not execution start, so queue
   // wait eats into the budget (the caller's clock is what matters).
   rtree::SearchOptions search_options;
   if (options.timeout.count() > 0) {
-    search_options.deadline = std::chrono::steady_clock::now() +
-                              options.timeout;
+    search_options.deadline = admitted + options.timeout;
   }
   search_options.cancel = &cancel_all_;
   search_options.degraded_ok = options.degraded_ok;
   search_options.quarantine = &quarantine_;
 
+  const size_t variant = query.index();
+  const auto start = std::chrono::steady_clock::now();
+  // With a writer bound, pin the reclamation epoch for the whole
+  // traversal: pages a concurrent mutation unlinks stay allocated until
+  // this guard is released.
+  storage::EpochGate::ReadGuard epoch_guard;
+  if (writer_ != nullptr) epoch_guard = writer_->ReaderEpoch();
+  StatusOr<QueryResult> outcome = Dispatch(query, search_options);
+  epoch_guard.Release();
+  const uint64_t latency_us = ElapsedMicros(start);
+  if (outcome.ok()) {
+    outcome.value().latency_us = latency_us;
+    uint64_t results = outcome.value().stats.results;
+    if (results == 0) {
+      results = outcome.value().hits.size() +
+                outcome.value().neighbors.size() +
+                outcome.value().join_pairs;
+    }
+    metrics_.RecordCompleted(variant, latency_us,
+                             outcome.value().stats.nodes_visited, results);
+    if (outcome.value().degraded) metrics_.RecordDegraded();
+  } else {
+    metrics_.RecordFailed(variant, latency_us);
+    if (outcome.status().IsDeadlineExceeded()) {
+      metrics_.RecordDeadlineExceeded();
+    }
+  }
+  return outcome;
+}
+
+StatusOr<QueryResult> QueryService::Execute(const Query& query,
+                                            const QueryOptions& options) {
+  metrics_.RecordSubmitted();
+  return RunAdmitted(query, options, std::chrono::steady_clock::now());
+}
+
+StatusOr<std::future<StatusOr<QueryResult>>> QueryService::Submit(
+    Query query, const QueryOptions& options) {
+  // shared_ptr because std::function requires copyable callables.
+  auto promise = std::make_shared<std::promise<StatusOr<QueryResult>>>();
+  std::future<StatusOr<QueryResult>> future = promise->get_future();
   const Status admitted = pool_.TrySubmit(
-      [this, variant, shared_query, shared_done, search_options] {
-        const auto start = std::chrono::steady_clock::now();
-        // With a writer bound, pin the reclamation epoch for the whole
-        // traversal: pages a concurrent mutation unlinks stay allocated
-        // until this guard is released.
-        storage::EpochGate::ReadGuard epoch_guard;
-        if (writer_ != nullptr) epoch_guard = writer_->ReaderEpoch();
-        StatusOr<QueryResult> outcome =
-            Dispatch(*shared_query, search_options);
-        epoch_guard.Release();
-        const uint64_t latency_us = ElapsedMicros(start);
-        if (outcome.ok()) {
-          outcome.value().latency_us = latency_us;
-          uint64_t results = outcome.value().stats.results;
-          if (results == 0) {
-            results = outcome.value().hits.size() +
-                      outcome.value().neighbors.size() +
-                      outcome.value().join_pairs;
-          }
-          metrics_.RecordCompleted(
-              variant, latency_us, outcome.value().stats.nodes_visited,
-              results);
-          if (outcome.value().degraded) metrics_.RecordDegraded();
-        } else {
-          metrics_.RecordFailed(variant, latency_us);
-          if (outcome.status().IsDeadlineExceeded()) {
-            metrics_.RecordDeadlineExceeded();
-          }
-        }
-        (*shared_done)(std::move(outcome));
+      [this, query = std::move(query), options, promise,
+       admitted_at = std::chrono::steady_clock::now()] {
+        promise->set_value(RunAdmitted(query, options, admitted_at));
       });
   if (!admitted.ok()) {
     metrics_.RecordRejected();
     return admitted;
   }
   metrics_.RecordSubmitted();
-  return Status::OK();
-}
-
-StatusOr<std::future<StatusOr<QueryResult>>> QueryService::Submit(
-    Query query, const QueryOptions& options) {
-  auto promise = std::make_shared<std::promise<StatusOr<QueryResult>>>();
-  std::future<StatusOr<QueryResult>> future = promise->get_future();
-  PICTDB_RETURN_IF_ERROR(SubmitWithCallback(
-      std::move(query), options, [promise](StatusOr<QueryResult> outcome) {
-        promise->set_value(std::move(outcome));
-      }));
   return future;
 }
 
@@ -199,20 +195,6 @@ Status QueryService::ExecuteWrite(const WriteOp& op) {
     write_metrics_.RecordFailed();
   }
   return st;
-}
-
-Status QueryService::SubmitWriteWithCallback(
-    WriteOp op, std::function<void(Status)> done) {
-  if (writer_ == nullptr) {
-    return Status::NotSupported(
-        "service has no writer bound (BindWriter a wal::DurableRTree)");
-  }
-  auto shared_op = std::make_shared<WriteOp>(std::move(op));
-  auto shared_done =
-      std::make_shared<std::function<void(Status)>>(std::move(done));
-  return pool_.TrySubmit([this, shared_op, shared_done] {
-    (*shared_done)(ExecuteWrite(*shared_op));
-  });
 }
 
 }  // namespace pictdb::service

@@ -148,9 +148,13 @@ struct ServiceOptions {
 /// node reads take the per-frame latches the mutator writes under.
 /// Re-PACK of the served tree still requires quiescing the service.
 ///
-/// Admission control: Submit() never blocks. When the bounded queue is
-/// full the query is rejected immediately with ResourceExhausted so the
-/// caller can shed or retry, instead of the queue growing without bound.
+/// Two ways in, one execution path: Submit()/RunSync() queue the query
+/// for the service's worker pool, and Execute() runs it on the calling
+/// thread. Admission control applies to the pool: Submit() never
+/// blocks, and when the bounded queue is full the query is rejected
+/// immediately with ResourceExhausted so the caller can shed or retry,
+/// instead of the queue growing without bound. Execute() callers bound
+/// concurrency with their own thread count.
 class QueryService {
  public:
   /// `tree` must outlive the service. `executor` may be null when no
@@ -165,22 +169,21 @@ class QueryService {
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
 
-  /// Asynchronous submission. An error here means the query was never
-  /// admitted (queue full / shut down); errors during execution surface
-  /// through the future instead. `options.timeout` starts counting now,
-  /// so time spent queued eats into the budget.
+  /// Asynchronous submission to the worker pool. An error here means
+  /// the query was never admitted (queue full / shut down); errors
+  /// during execution surface through the future instead.
+  /// `options.timeout` starts counting now, so time spent queued eats
+  /// into the budget.
   StatusOr<std::future<StatusOr<QueryResult>>> Submit(
       Query query, const QueryOptions& options = {});
 
-  /// Callback-style submission for event-loop callers (the network
-  /// server): on completion `done` runs on the worker thread that
-  /// executed the query, after metrics are recorded. A non-OK return
-  /// means the query was rejected at admission and `done` will never
-  /// run. `done` must not block for long and must not submit
-  /// synchronously back into the service from inside itself beyond the
-  /// queue bound (it would be rejected, not deadlock).
-  Status SubmitWithCallback(Query query, const QueryOptions& options,
-                            std::function<void(StatusOr<QueryResult>)> done);
+  /// Run `query` to completion on the calling thread, with the same
+  /// deadline, cancellation, epoch guard and metrics as a pool-run
+  /// query but no queue and no hand-off: for callers that bring their
+  /// own threads (the network server's serving threads). Never
+  /// rejected; the caller bounds its own concurrency.
+  StatusOr<QueryResult> Execute(const Query& query,
+                                const QueryOptions& options = {});
 
   /// Convenience: submit and wait. Admission errors are returned
   /// directly.
@@ -203,15 +206,10 @@ class QueryService {
 
   /// Execute one write synchronously on the calling thread (writes are
   /// serialized by the durable tree's commit lock regardless, so there
-  /// is no parallelism to gain from queueing). NotSupported without a
+  /// is no parallelism to gain from queueing; the network server calls
+  /// this from its serving threads). NotSupported without a
   /// bound writer; NotFound when a delete/update precondition misses.
   Status ExecuteWrite(const WriteOp& op);
-
-  /// Write-path variant of SubmitWithCallback: runs ExecuteWrite on a
-  /// worker so event-loop callers never block on an fsync. Admission
-  /// shares the same bounded queue as queries.
-  Status SubmitWriteWithCallback(WriteOp op,
-                                 std::function<void(Status)> done);
 
   /// Write-path counters (separate from Metrics(): the query snapshot's
   /// wire encoding predates writes and stays byte-compatible).
@@ -243,6 +241,12 @@ class QueryService {
   const ServiceOptions& options() const { return options_; }
 
  private:
+  /// The one execution path behind Submit and Execute: deadline from
+  /// `admitted` + `options.timeout`, CancelAll, the writer's epoch
+  /// guard, Dispatch, then completion metrics.
+  StatusOr<QueryResult> RunAdmitted(
+      const Query& query, const QueryOptions& options,
+      std::chrono::steady_clock::time_point admitted);
   StatusOr<QueryResult> Dispatch(const Query& query,
                                  const rtree::SearchOptions& search_options);
 

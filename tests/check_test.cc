@@ -179,6 +179,42 @@ TEST_F(TreeValidatorTest, CatchesOnDiskChecksumRot) {
       << report.ToString();
 }
 
+TEST_F(TreeValidatorTest, CrcScanReportsCachedPageTheMediumLost) {
+  storage::InMemoryDiskManager mem(512);
+  storage::FaultInjectionDiskManager faulty(&mem, storage::FaultPlan{});
+  storage::BufferPool pool(&faulty, 8192);
+  auto created = RTree::Create(&pool);
+  PICTDB_CHECK(created.ok());
+  RTree tree = std::move(created).value();
+  PICTDB_CHECK_OK(pack::Pack(&tree, UniformPointEntries(9, 300)));
+  ASSERT_GE(tree.Height(), 2u) << "need a leaf below the root";
+  PICTDB_CHECK_OK(pool.FlushAll());
+
+  // Every page stays cached, so the walk never asks the medium for the
+  // leaf; only the raw CRC scan can find that it is gone.
+  PageId leaf = tree.root();
+  for (;;) {
+    auto guard = pool.FetchPage(leaf);
+    PICTDB_CHECK(guard.ok());
+    const rtree::Node node =
+        rtree::ReadNode(guard->data(), pool.page_size()).value();
+    if (node.is_leaf()) break;
+    leaf = node.entries[0].AsChild();
+  }
+  ASSERT_NE(leaf, tree.root());
+  faulty.AddPermanentReadFault(leaf);
+
+  const ValidationReport report = TreeValidator().Check(tree);
+  EXPECT_FALSE(report.ok()) << report.ToString();
+  const auto lost = std::find_if(
+      report.violations.begin(), report.violations.end(),
+      [](const Violation& v) {
+        return v.kind == ViolationKind::kUnreadablePage;
+      });
+  ASSERT_NE(lost, report.violations.end()) << report.ToString();
+  EXPECT_EQ(lost->page, leaf);
+}
+
 TEST_F(TreeValidatorTest, FlagsReachableQuarantinedPage) {
   Env env;
   const RTree tree = BuildPacked(&env, UniformPointEntries(13, 200));

@@ -1,4 +1,4 @@
-// End-to-end tests of the network serving tier: a real poll-loop server
+// End-to-end tests of the network serving tier: a real epoll server
 // over a PACK-built tree, exercised through the blocking client. Covers
 // query round trips on Unix and TCP sockets, the result cache's
 // byte-identical replay, quota / in-flight / connection-limit
@@ -11,7 +11,9 @@
 
 #include <algorithm>
 #include <memory>
+#include <cmath>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/random.h"
@@ -101,6 +103,16 @@ class NetServerTest : public ::testing::Test {
     return b;
   }
 
+  /// Rids (page ids = point indices) of the points inside `window`,
+  /// sorted.
+  std::vector<uint32_t> BruteForceWindow(const Rect& window) const {
+    std::vector<uint32_t> ids;
+    for (size_t i = 0; i < points_.size(); ++i) {
+      if (window.Contains(points_[i])) ids.push_back(static_cast<uint32_t>(i));
+    }
+    return ids;
+  }
+
   size_t BruteForceWindowCount(const Rect& window) const {
     size_t count = 0;
     for (const Point& p : points_) {
@@ -172,6 +184,193 @@ TEST_F(NetServerTest, PingAndQueriesOverUnixSocket) {
   const ServerStatsSnapshot stats = server.Stats();
   EXPECT_EQ(stats.connections_accepted, 1u);
   EXPECT_GT(stats.frames_received, 0u);
+  server.Stop();
+}
+
+std::vector<uint32_t> SortedPages(const std::vector<WireHit>& hits) {
+  std::vector<uint32_t> ids;
+  ids.reserve(hits.size());
+  for (const WireHit& hit : hits) ids.push_back(hit.rid.page_id);
+  std::sort(ids.begin(), ids.end());
+  return ids;
+}
+
+TEST_F(NetServerTest, ConcurrentClientsGetBruteForceAnswers) {
+  // Two serving threads, eight clients: every connection is served by
+  // whichever thread is idle, and every answer must still be exact.
+  service::ServiceOptions service_options;
+  service_options.num_threads = 2;
+  service::QueryService svc(tree_.get(), nullptr, service_options);
+  Server::Bindings bindings = Bindings();
+  bindings.service = &svc;
+  ServerOptions options;
+  options.unix_path = SockPath("concurrent");
+  Server server(bindings, options);
+  ASSERT_TRUE(server.Start().ok());
+
+  uint64_t join_pairs = 0;
+  for (const Point& o : overlay_points_) {
+    const Rect region = Rect::FromCenterHalfExtent(o.x, 4, o.y, 4);
+    for (const Point& p : points_) join_pairs += region.Contains(p) ? 1 : 0;
+  }
+
+  constexpr int kClients = 8;
+  constexpr int kRequests = 200;
+  std::vector<std::string> failures(kClients);
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      std::string& failure = failures[c];
+      auto client = Client::ConnectUnix(options.unix_path);
+      if (!client.ok()) {
+        failure = client.status().ToString();
+        return;
+      }
+      Random rng(1000 + c);
+      const auto random_window = [&] {
+        return Rect::FromCenterHalfExtent(rng.UniformDouble(0, 1000),
+                                          rng.UniformDouble(5, 60),
+                                          rng.UniformDouble(0, 1000),
+                                          rng.UniformDouble(5, 60));
+      };
+      for (int i = 0; i < kRequests && failure.empty(); ++i) {
+        const std::string where = "client " + std::to_string(c) +
+                                  " request " + std::to_string(i) + ": ";
+        switch (i % 5) {
+          case 0: {
+            const Rect window = random_window();
+            auto r = client->Window(window, false);
+            if (!r.ok()) {
+              failure = where + r.status().ToString();
+            } else if (SortedPages(std::get<HitsResponse>(r->response.body)
+                                       .hits) != BruteForceWindow(window)) {
+              failure = where + "window hits differ from brute force";
+            }
+            break;
+          }
+          case 1: {
+            const Point p = points_[rng.Uniform(points_.size())];
+            auto r = client->Point(p);
+            size_t expected = 0;
+            for (const Point& q : points_) expected += q == p ? 1 : 0;
+            if (!r.ok()) {
+              failure = where + r.status().ToString();
+            } else if (std::get<HitsResponse>(r->response.body).hits.size() !=
+                       expected) {
+              failure = where + "point hits differ from brute force";
+            }
+            break;
+          }
+          case 2: {
+            const Point p{rng.UniformDouble(0, 1000),
+                          rng.UniformDouble(0, 1000)};
+            constexpr uint32_t kK = 7;
+            auto r = client->Knn(p, kK);
+            std::vector<double> expected;
+            for (const Point& q : points_) {
+              expected.push_back(geom::Distance(p, q));
+            }
+            std::sort(expected.begin(), expected.end());
+            expected.resize(kK);
+            if (!r.ok()) {
+              failure = where + r.status().ToString();
+              break;
+            }
+            const auto& got =
+                std::get<NeighborsResponse>(r->response.body).neighbors;
+            if (got.size() != kK) {
+              failure = where + "knn returned the wrong count";
+              break;
+            }
+            for (size_t k = 0; k < kK; ++k) {
+              if (std::abs(got[k].distance - expected[k]) > 1e-9) {
+                failure = where + "knn distances differ from brute force";
+              }
+            }
+            break;
+          }
+          case 3: {
+            std::vector<Rect> windows;
+            for (int w = 0; w < 4; ++w) windows.push_back(random_window());
+            auto r = client->BatchWindow(windows, false);
+            if (!r.ok()) {
+              failure = where + r.status().ToString();
+              break;
+            }
+            const auto& per_window =
+                std::get<BatchHitsResponse>(r->response.body).per_window;
+            if (per_window.size() != windows.size()) {
+              failure = where + "batch returned the wrong window count";
+              break;
+            }
+            for (size_t w = 0; w < windows.size(); ++w) {
+              if (SortedPages(per_window[w].hits) !=
+                  BruteForceWindow(windows[w])) {
+                failure = where + "batch hits differ from brute force";
+              }
+            }
+            break;
+          }
+          default: {
+            auto r = client->Join(/*overlay=*/0);
+            if (!r.ok()) {
+              failure = where + r.status().ToString();
+            } else if (std::get<JoinResponse>(r->response.body).pairs !=
+                       join_pairs) {
+              failure = where + "join pair count differs from brute force";
+            }
+            break;
+          }
+        }
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  for (int c = 0; c < kClients; ++c) {
+    EXPECT_TRUE(failures[c].empty()) << failures[c];
+  }
+  EXPECT_EQ(server.Stats().connections_accepted,
+            static_cast<uint64_t>(kClients));
+  EXPECT_EQ(svc.Metrics().completed,
+            static_cast<uint64_t>(kClients * kRequests));
+  server.Stop();
+}
+
+TEST_F(NetServerTest, PipelinedBurstBeyondInflightBoundIsAnsweredInOrder) {
+  ServerOptions options;
+  options.unix_path = SockPath("burst");
+  ASSERT_EQ(options.max_inflight_per_conn, 64u);
+  Server server(Bindings(), options);
+  ASSERT_TRUE(server.Start().ok());
+
+  auto client = Client::ConnectUnix(options.unix_path);
+  ASSERT_TRUE(client.ok());
+  // 100 window frames in one write: more than the in-flight bound, but
+  // each is answered as soon as it is read, so none is refused.
+  constexpr uint32_t kFrames = 100;
+  std::vector<Rect> windows;
+  std::string burst;
+  for (uint32_t i = 0; i < kFrames; ++i) {
+    windows.push_back(Rect::FromCenterHalfExtent(10.0 * i, 20, 500, 20));
+    Request request;
+    request.body = WindowRequest{windows.back(), false};
+    burst += EncodeFrame(MsgType::kWindow, 0, /*request_id=*/1000 + i,
+                         EncodeRequestPayload(request));
+  }
+  ASSERT_TRUE(client->SendRaw(burst).ok());
+  for (uint32_t i = 0; i < kFrames; ++i) {
+    FrameHeader header;
+    auto payload = client->ReadFrameRaw(&header);
+    ASSERT_TRUE(payload.ok()) << payload.status().ToString();
+    ASSERT_EQ(header.request_id, 1000 + i);
+    auto decoded = DecodeResponsePayload(header.type, *payload);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    ASSERT_EQ(header.type, MsgType::kHits)
+        << std::get<ErrorResponse>(decoded->body).ToStatus().ToString();
+    EXPECT_EQ(SortedPages(std::get<HitsResponse>(decoded->body).hits),
+              BruteForceWindow(windows[i]));
+  }
+  EXPECT_EQ(server.Stats().backpressure_rejections, 0u);
   server.Stop();
 }
 

@@ -12,6 +12,7 @@
 #include <chrono>
 #include <future>
 #include <latch>
+#include <thread>
 #include <vector>
 
 #include "common/random.h"
@@ -395,7 +396,7 @@ TEST(ServiceWriteTest, WritesCommitCountAndFireHook) {
   EXPECT_EQ(durable->tree().Size(), 1u);
 }
 
-TEST(ServiceWriteTest, AsyncWritesCompleteThroughTheWorkerPool) {
+TEST(ServiceWriteTest, ConcurrentCallerThreadWritesAllCommit) {
   storage::InMemoryDiskManager disk(512);
   storage::BufferPool pool(&disk, 1024);
   auto created = wal::DurableRTree::Create(&pool);
@@ -404,21 +405,25 @@ TEST(ServiceWriteTest, AsyncWritesCompleteThroughTheWorkerPool) {
   QueryService svc(&durable->tree(), /*executor=*/nullptr, {});
   svc.BindWriter(durable.get());
 
+  // ExecuteWrite runs on the caller's thread (the network server's
+  // serving threads call it this way); the durable tree's commit lock
+  // serializes the writers.
   constexpr size_t kWrites = 64;
-  std::latch done(kWrites);
+  constexpr size_t kThreads = 4;
   std::atomic<uint64_t> ok_count{0};
-  for (size_t i = 0; i < kWrites; ++i) {
-    const double x = static_cast<double>(i);
-    const Status admitted = svc.SubmitWriteWithCallback(
-        InsertOp{Rect(x, x, x + 1, x + 1),
-                 storage::Rid{static_cast<storage::PageId>(i + 1), 0}},
-        [&](Status status) {
-          if (status.ok()) ok_count.fetch_add(1);
-          done.count_down();
-        });
-    ASSERT_TRUE(admitted.ok()) << admitted.ToString();
+  std::vector<std::thread> writers;
+  for (size_t t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&, t] {
+      for (size_t i = t; i < kWrites; i += kThreads) {
+        const double x = static_cast<double>(i);
+        const Status status = svc.ExecuteWrite(
+            InsertOp{Rect(x, x, x + 1, x + 1),
+                     storage::Rid{static_cast<storage::PageId>(i + 1), 0}});
+        if (status.ok()) ok_count.fetch_add(1);
+      }
+    });
   }
-  done.wait();
+  for (std::thread& w : writers) w.join();
   EXPECT_EQ(ok_count.load(), kWrites);
   EXPECT_EQ(durable->tree().Size(), kWrites);
   svc.Shutdown();

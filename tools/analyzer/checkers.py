@@ -33,7 +33,7 @@ GUARD_TYPES = {"PageGuard"}
 OWNER_TYPES = {"SoaNode"}
 DERIVERS = {"data", "mutable_data", "rects"}
 # Callees whose function-object argument outlives the call site.
-STORING_CALLEES = {"Submit", "TrySubmit", "SubmitWithCallback",
+STORING_CALLEES = {"Submit", "TrySubmit",
                    "SetCommitHook", "set_commit_hook", "push_back",
                    "emplace_back", "insert", "emplace", "assign"}
 CONTAINER_INSERTERS = {"push_back", "emplace_back", "insert", "emplace",
