@@ -126,7 +126,9 @@ void SearchArgs(benchmark::internal::Benchmark* b) {
 
 /// The repository benchmark's `join` workload without the wire: a
 /// Hilbert sort-chunk tree of 100k uniform points joined with one of
-/// 1000 8x8 rects. `pairs_tested/join` is the rect tests one join makes.
+/// 1000 8x8 rects. `pairs_tested/join` is the rect tests one join makes,
+/// `fetches/join` the pages it fetches from the two buffer pools (below
+/// nodes visited when decoded nodes are reused across pair frames).
 void BM_SpatialJoin(benchmark::State& state) {
   Random rng(1985);
   const Rect frame = pictdb::workload::PaperFrame();
@@ -143,6 +145,8 @@ void BM_SpatialJoin(benchmark::State& state) {
   PICTDB_CHECK_OK(
       pictdb::pack::Pack(rects.tree.get(), RectEntries(overlay), hilbert));
   pictdb::rtree::JoinStats stats;
+  const uint64_t fetches_before = objects.pool->stats().fetches.load() +
+                                  rects.pool->stats().fetches.load();
   for (auto _ : state) {
     uint64_t pairs = 0;
     PICTDB_CHECK_OK(pictdb::rtree::SpatialJoin(
@@ -154,6 +158,12 @@ void BM_SpatialJoin(benchmark::State& state) {
   state.counters["pairs_tested/join"] =
       static_cast<double>(stats.pairs_tested) / joins;
   state.counters["results/join"] = static_cast<double>(stats.results) / joins;
+  state.counters["nodes/join"] =
+      static_cast<double>(stats.nodes_visited) / joins;
+  const uint64_t fetches = objects.pool->stats().fetches.load() +
+                           rects.pool->stats().fetches.load() -
+                           fetches_before;
+  state.counters["fetches/join"] = static_cast<double>(fetches) / joins;
 }
 
 BENCHMARK(BM_WindowSearch)->Apply(SearchArgs)->Unit(benchmark::kMicrosecond);

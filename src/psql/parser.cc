@@ -554,9 +554,16 @@ std::string Expr::ToString() const {
              args[1]->ToString();
     }
     case Kind::kAnd:
-      return "(" + args[0]->ToString() + " and " + args[1]->ToString() + ")";
-    case Kind::kOr:
-      return "(" + args[0]->ToString() + " or " + args[1]->ToString() + ")";
+    case Kind::kOr: {
+      // Appended to one string: GCC 12 at -O3 reports a spurious
+      // -Werror=restrict inside the chained operator+ temporaries.
+      std::string out = "(";
+      out += args[0]->ToString();
+      out += kind == Kind::kAnd ? " and " : " or ";
+      out += args[1]->ToString();
+      out += ")";
+      return out;
+    }
     case Kind::kNot:
       return "not " + args[0]->ToString();
     case Kind::kCall: {

@@ -1,6 +1,7 @@
 #include "rel/catalog_io.h"
 
 #include <cstring>
+#include <string_view>
 
 #include "geom/wkt.h"
 #include "storage/blob.h"
@@ -44,7 +45,8 @@ void PutStr(const std::string& s, std::string* out) {
 
 class Reader {
  public:
-  explicit Reader(std::string data) : data_(std::move(data)) {}
+  /// Reads `data`, which must outlive the reader.
+  explicit Reader(std::string_view data) : data_(data) {}
 
   StatusOr<uint32_t> U32() {
     if (pos_ + 4 > data_.size()) return Truncated();
@@ -77,7 +79,7 @@ class Reader {
   static Status Truncated() {
     return Status::Corruption("truncated catalog image");
   }
-  std::string data_;
+  std::string_view data_;
   size_t pos_ = 0;
 };
 
@@ -142,7 +144,7 @@ StatusOr<storage::PageId> SaveCatalog(const Catalog& catalog,
 Status LoadCatalog(storage::BufferPool* pool, storage::PageId root,
                    Catalog* out) {
   PICTDB_ASSIGN_OR_RETURN(std::string image, storage::ReadBlob(pool, root));
-  Reader r(std::move(image));
+  Reader r(image);
 
   PICTDB_ASSIGN_OR_RETURN(const uint32_t magic, r.U32());
   if (magic != kMagic) return Status::Corruption("bad catalog magic");

@@ -12,11 +12,11 @@ namespace pictdb::rtree {
 struct JoinStats {
   uint64_t nodes_visited = 0;
   /// Rect tests made. SpatialJoin counts, per pair of nodes on unequal
-  /// levels, the taller node's entries; per pair on equal levels, both
-  /// nodes' entries (each filtered against the region the two nodes
-  /// share; the left only when some right entry survives) plus the
-  /// surviving left x right candidate pairs. NestedLoopJoin counts
-  /// |L| x |R|.
+  /// levels, the taller node's entries; per pair on equal levels, the
+  /// right node's entries (filtered against the region the two nodes
+  /// share), the left node's when two or more right entries survive,
+  /// and the lanes of every candidate-pair kernel call. NestedLoopJoin
+  /// counts |L| x |R|.
   uint64_t pairs_tested = 0;
   uint64_t results = 0;
   /// Node pairs skipped over unreadable/corrupt pages (degraded mode).
@@ -35,6 +35,8 @@ using JoinCallback =
 /// into pairs of subtrees whose MBRs intersect, and testing at each pair
 /// of nodes only the entries inside the region both nodes cover. Trees
 /// of different heights are handled by descending the taller side first.
+/// Nodes decoded for one pair of subtrees are reused by the next pairs
+/// that name the same page.
 Status SpatialJoin(const RTree& left, const RTree& right,
                    const JoinCallback& callback, JoinStats* stats = nullptr,
                    const SearchOptions& options = {});

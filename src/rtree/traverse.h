@@ -79,6 +79,15 @@ class Frontier {
 /// which it tests entries (Mask), queues frames (Push, PushChildren) and
 /// counts results (stats()).
 ///
+/// A policy that revisits nodes (the join, whose consecutive pair frames
+/// share a side) sets kReuseSlots: each side then keeps its current node
+/// and up to kReuseSlots earlier decodes, keyed by page, with each one's
+/// bound (NodeMbr), computed once per decode. A repeated page skips both
+/// the fetch and the decode; the level check and the visit count still
+/// run. A side that decodes an interior node drops its parked nodes, so
+/// no node is combined with a newer decode of an ancestor: each node is
+/// read after its parent, as in a single-tree search.
+///
 /// A checker's policy sets kReportFaults: the walk then reports and
 /// continues. A node that fails to load goes to
 ///   Status OnUnreadable(const Frame&, const Status& loaded)
@@ -93,6 +102,7 @@ struct SearchPolicy {
   using Stats = SearchStats;
   static constexpr size_t kSides = 1;
   static constexpr bool kReportFaults = false;
+  static constexpr size_t kReuseSlots = 0;
   static constexpr uint64_t SearchStats::*kTested =
       &SearchStats::entries_tested;
 
@@ -114,6 +124,7 @@ class Traversal {
   using Frame = typename Policy::Frame;
   using Stats = typename Policy::Stats;
   static constexpr size_t kSides = Policy::kSides;
+  static constexpr size_t kReuseSlots = Policy::kReuseSlots;
 
   /// The root of `tree`, page and level from ONE load of the packed
   /// root/height word, so both describe the same tree shape even while
@@ -152,7 +163,7 @@ class Traversal {
     if (!Policy::IsNode(frame)) return policy.OnItem(frame, *this);
     for (size_t side = 0; side < kSides; ++side) {
       const NodeRef ref = Policy::Side(frame, side);
-      Status loaded = trees_[side]->LoadNodeSoa(ref.id, &nodes_[side]);
+      Status loaded = Load(side, ref.id);
       if constexpr (Policy::kReportFaults) {
         if (!loaded.ok()) return policy.OnUnreadable(frame, loaded);
         if (nodes_[side].level != ref.level) {
@@ -181,6 +192,12 @@ class Traversal {
   }
 
   Stats* stats() { return stats_; }
+
+  /// The bound of side `side`'s current node (kReuseSlots policies).
+  const geom::Rect& NodeMbr(size_t side) const {
+    static_assert(kReuseSlots > 0);
+    return reuse_[side].mbr;
+  }
 
   /// Count `n` entries (or entry pairs) as tested.
   void Tested(uint64_t n) { stats_->*Policy::kTested += n; }
@@ -218,12 +235,67 @@ class Traversal {
   }
 
  private:
+  /// A decoded node put aside, the page it came from and its bound.
+  struct Parked {
+    storage::PageId id = storage::kInvalidPageId;
+    SoaNode node;
+    geom::Rect mbr;
+  };
+  /// One side's reuse state: the page and bound of nodes_[side], and
+  /// the parked nodes, most recently used first.
+  struct ReuseSet {
+    storage::PageId id = storage::kInvalidPageId;
+    geom::Rect mbr;
+    std::array<Parked, kReuseSlots> parked;
+  };
+
+  /// Whether a place marked `held` holds page `id`. kInvalidPageId
+  /// marks an empty place, so a (corrupt) child pointer holding it is
+  /// never a hit and goes to the load, which fails.
+  static bool Holds(storage::PageId held, storage::PageId id) {
+    return held == id && id != storage::kInvalidPageId;
+  }
+
+  /// Make nodes_[side] the node on page `id`.
+  Status Load(size_t side, storage::PageId id) {
+    if constexpr (kReuseSlots == 0) {
+      return trees_[side]->LoadNodeSoa(id, &nodes_[side]);
+    } else {
+      ReuseSet& set = reuse_[side];
+      if (Holds(set.id, id)) return Status::OK();
+      // Park the current node in front and shift the parked ones back
+      // until the slot holding `id` (a hit) or the last, least recently
+      // used one (a miss), whose node becomes current. Nodes only swap,
+      // so a miss decodes into storage that is already allocated.
+      size_t last = 0;
+      while (last + 1 < kReuseSlots && !Holds(set.parked[last].id, id)) {
+        ++last;
+      }
+      for (size_t k = 0; k <= last; ++k) {
+        Parked& slot = set.parked[k];
+        std::swap(set.id, slot.id);
+        std::swap(nodes_[side], slot.node);
+        std::swap(set.mbr, slot.mbr);
+      }
+      if (Holds(set.id, id)) return Status::OK();
+      set.id = storage::kInvalidPageId;
+      PICTDB_RETURN_IF_ERROR(trees_[side]->LoadNodeSoa(id, &nodes_[side]));
+      if (!nodes_[side].is_leaf()) {
+        for (Parked& slot : set.parked) slot.id = storage::kInvalidPageId;
+      }
+      set.id = id;
+      set.mbr = nodes_[side].Mbr();
+      return Status::OK();
+    }
+  }
+
   std::array<const RTree*, kSides> trees_;
   SearchOptions options_;
   Stats own_stats_;
   Stats* stats_;
   typename Policy::Frontier frontier_;
   std::array<SoaNode, kSides> nodes_;  // reused for every decode
+  std::array<ReuseSet, kReuseSlots == 0 ? 0 : kSides> reuse_;
   std::vector<uint64_t> mask_;
 };
 

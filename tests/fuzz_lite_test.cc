@@ -97,7 +97,7 @@ TEST(FuzzLiteTest, MutatedValidQueriesNeverCrashTheExecutor) {
                          kQueryAlphabet[rng.Uniform(kQueryAlphabet.size())]);
           break;
       }
-      if (mutated.empty()) mutated = "x";
+      if (mutated.empty()) mutated.push_back('x');
     }
     (void)exec.Run(mutated);  // must not crash; errors are fine
   }

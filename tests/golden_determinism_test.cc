@@ -493,11 +493,13 @@ TEST_F(GoldenSequenceTest, Join) {
     pairs_tested[objects_left ? 0 : 1] = stats.pairs_tested;
   }
   ExpectDigest("join", d, 0xf9c3a471b01173c5ull);
-  EXPECT_EQ(pairs_tested[0], 13709u) << "objects x overlay";
-  EXPECT_EQ(pairs_tested[1], 15413u) << "overlay x objects";
-  // The full per-pair scan tested 59622 in each orientation; the
-  // restricted search space must stay below it.
-  for (const uint64_t tested : pairs_tested) EXPECT_LT(tested, 59622u);
+  EXPECT_EQ(pairs_tested[0], 12539u) << "objects x overlay";
+  EXPECT_EQ(pairs_tested[1], 15403u) << "overlay x objects";
+  // The full per-pair scan tested 59622 in each orientation, and the
+  // restricted search space with a per-candidate scalar loop 13709 and
+  // 15413; looping over the side with fewer candidates stays below both.
+  EXPECT_LE(pairs_tested[0], 13709u);
+  EXPECT_LE(pairs_tested[1], 15413u);
 }
 
 TEST_F(GoldenSequenceTest, WholeTreeWalks) {

@@ -25,7 +25,8 @@ using geom::Rect;
 using storage::Rid;
 
 struct Env {
-  Env() : disk(512), pool(&disk, 8192) {}
+  explicit Env(uint32_t page_size = 512)
+      : disk(page_size), pool(&disk, 8192) {}
   storage::InMemoryDiskManager disk;
   storage::BufferPool pool;
 };
@@ -212,9 +213,10 @@ Rect AdversarialRect(Random* rng) {
 /// A tree written node by node: `n` adversarial leaf entries (rid page =
 /// index), 1..max_entries entries per node, parent rects the true bound
 /// of the child but for about one in eight, which gets a wrong rect.
-RTree BuildAdversarialTree(Env* env, Random* rng, size_t n) {
+RTree BuildAdversarialTree(Env* env, Random* rng, size_t n,
+                           size_t max_entries = 8) {
   RTreeOptions opts;
-  opts.max_entries = 8;
+  opts.max_entries = max_entries;
   auto created = RTree::Create(&env->pool, opts);
   PICTDB_CHECK(created.ok());
   RTree tree = std::move(created).value();
@@ -229,8 +231,8 @@ RTree BuildAdversarialTree(Env* env, Random* rng, size_t n) {
   for (uint16_t level = 0;; ++level) {
     std::vector<Entry> parents;
     for (size_t at = 0; at < entries.size();) {
-      const size_t take =
-          std::min<size_t>(1 + rng->Uniform(8), entries.size() - at);
+      const size_t take = std::min<size_t>(1 + rng->Uniform(max_entries),
+                                           entries.size() - at);
       const std::vector<Entry> chunk(entries.begin() + at,
                                      entries.begin() + at + take);
       auto id = tree.BulkWriteNode(level, chunk);
@@ -265,7 +267,6 @@ struct FullPairScan {
     PICTDB_CHECK_OK(right.ReadNodePageSoa(rid, &r));
     nodes_visited += 2;
     if (l.level != r.level) {
-      ++unequal_visits;
       const bool left_tall = l.level > r.level;
       const SoaNode& tall = left_tall ? l : r;
       const Rect other = (left_tall ? r : l).Mbr();
@@ -279,7 +280,14 @@ struct FullPairScan {
       }
       return;
     }
-    ++equal_visits;
+    const Rect common = geom::IntersectionOf(l.Mbr(), r.Mbr());
+    for (const SoaNode* node : {&l, &r}) {
+      size_t candidates = 0;
+      for (size_t i = 0; i < node->count(); ++i) {
+        candidates += node->RectAt(i).Intersects(common) ? 1 : 0;
+      }
+      max_candidates = std::max(max_candidates, candidates);
+    }
     for (size_t i = 0; i < l.count(); ++i) {
       for (size_t j = 0; j < r.count(); ++j) {
         if (!l.RectAt(i).Intersects(r.RectAt(j))) continue;
@@ -294,33 +302,43 @@ struct FullPairScan {
 
   RidSeq pairs;
   uint64_t nodes_visited = 0;
-  uint64_t equal_visits = 0;
-  uint64_t unequal_visits = 0;
+  /// The most entries of one node inside an equal-level pair's common
+  /// region.
+  size_t max_candidates = 0;
 };
 
-void ExpectJoinMatchesFullPairScan(const RTree& left, const RTree& right) {
+/// Joins `left` with `right` (both on `pool`) and checks the pairs, their
+/// order and the counters against the full pair scan, which decodes
+/// every node afresh. Returns the scan for further checks.
+FullPairScan ExpectJoinMatchesFullPairScan(const RTree& left,
+                                           const RTree& right,
+                                           const storage::BufferPool& pool) {
   FullPairScan reference;
   reference.Run(left, left.root(), right, right.root());
-  ASSERT_FALSE(reference.pairs.empty()) << "vacuous comparison";
+  EXPECT_FALSE(reference.pairs.empty()) << "vacuous comparison";
 
   RidSeq got;
   JoinStats stats;
+  const uint64_t fetches_before = pool.stats().fetches.load();
   const uint64_t mbrs_before = MbrComputeCountForTesting();
-  ASSERT_TRUE(SpatialJoin(left, right,
+  EXPECT_TRUE(SpatialJoin(left, right,
                           [&got](const LeafHit& l, const LeafHit& r) {
                             got.push_back({l.rid.page_id, r.rid.page_id});
                           },
                           &stats)
                   .ok());
   const uint64_t mbrs = MbrComputeCountForTesting() - mbrs_before;
+  const uint64_t fetches = pool.stats().fetches.load() - fetches_before;
 
   EXPECT_EQ(got, reference.pairs);
   EXPECT_EQ(stats.nodes_visited, reference.nodes_visited);
   EXPECT_EQ(stats.results, reference.pairs.size());
   EXPECT_FALSE(stats.degraded);
-  // Two bounds per equal-level pair, one per unequal-level pair: no
-  // per-entry recomputation.
-  EXPECT_LE(mbrs, 2 * reference.equal_visits + reference.unequal_visits);
+  // A reused node is neither fetched nor decoded again, and its bound
+  // is computed once per decode: no per-entry or per-frame recompute.
+  EXPECT_LE(fetches, stats.nodes_visited);
+  EXPECT_LE(mbrs, fetches);
+  return reference;
 }
 
 TEST(JoinTest, RestrictedJoinMatchesFullPairScan) {
@@ -333,10 +351,109 @@ TEST(JoinTest, RestrictedJoinMatchesFullPairScan) {
     SCOPED_TRACE(scalar ? "scalar kernels" : "active kernels");
     std::optional<simd::ScopedKernelOverride> force;
     if (scalar) force.emplace(&simd::ScalarKernels());
-    ExpectJoinMatchesFullPairScan(a, b);
-    ExpectJoinMatchesFullPairScan(b, a);
-    ExpectJoinMatchesFullPairScan(a, a);
+    ExpectJoinMatchesFullPairScan(a, b, env.pool);
+    ExpectJoinMatchesFullPairScan(b, a, env.pool);
+    ExpectJoinMatchesFullPairScan(a, a, env.pool);
   }
+}
+
+TEST(JoinTest, ReusedNodesMatchFreshDecodes) {
+  // Nodes of up to 200 entries on 8 KiB pages: an equal-level pair has
+  // more than 64 candidates on a side, so row bitmaps span several
+  // words, and both sides' candidate counts vary from pair to pair, so
+  // each side is the one looped over somewhere.
+  Env env(8192);
+  Random rng(2024);
+  RTree a = BuildAdversarialTree(&env, &rng, 3000, 200);
+  RTree b = BuildAdversarialTree(&env, &rng, 120, 200);
+  ASSERT_NE(a.Height(), b.Height());
+  for (const bool scalar : {false, true}) {
+    SCOPED_TRACE(scalar ? "scalar kernels" : "active kernels");
+    std::optional<simd::ScopedKernelOverride> force;
+    if (scalar) force.emplace(&simd::ScalarKernels());
+    size_t max_candidates = 0;
+    for (const auto& [left, right] :
+         {std::pair{&a, &b}, std::pair{&b, &a}, std::pair{&a, &a}}) {
+      max_candidates = std::max(
+          max_candidates,
+          ExpectJoinMatchesFullPairScan(*left, *right, env.pool)
+              .max_candidates);
+    }
+    EXPECT_GT(max_candidates, 64u);
+  }
+
+  // A few-leaf overlay over a packed point tree: consecutive pair
+  // frames share a side, so far fewer pages are fetched than visited.
+  std::vector<Rect> points;
+  for (const auto& p :
+       workload::UniformPoints(&rng, 5000, workload::PaperFrame())) {
+    points.push_back(Rect::FromPoint(p));
+  }
+  std::vector<Rect> overlay;
+  for (const auto& c :
+       workload::UniformPoints(&rng, 300, workload::PaperFrame())) {
+    overlay.push_back(Rect::FromCenterHalfExtent(c.x, 20, c.y, 20));
+  }
+  RTree objects = MakeTree(&env, points, true, 50);
+  RTree rects = MakeTree(&env, overlay, true, 50);
+  ASSERT_GT(objects.Height(), rects.Height());
+  for (const auto& [left, right] :
+       {std::pair{&objects, &rects}, std::pair{&rects, &objects}}) {
+    JoinStats stats;
+    const uint64_t fetches_before = env.pool.stats().fetches.load();
+    EXPECT_FALSE(RunJoin(*left, *right, false, &stats).empty());
+    const uint64_t fetches = env.pool.stats().fetches.load() - fetches_before;
+    EXPECT_LT(fetches, stats.nodes_visited);
+    EXPECT_EQ(RunJoin(*left, *right, false), RunJoin(*left, *right, true));
+  }
+}
+
+TEST(JoinTest, InvalidChildPointerIsNeverAReusedNode) {
+  // kInvalidPageId marks an empty reuse slot. A child pointer holding it
+  // must reach the page load and be skipped as unreadable, not be served
+  // whatever node an empty slot last held.
+  Env env;
+  auto created = RTree::Create(&env.pool, RTreeOptions{});
+  PICTDB_CHECK(created.ok());
+  RTree left = std::move(created).value();
+  const auto write_leaf = [&left](storage::PageId first) {
+    std::vector<Entry> entries;
+    for (storage::PageId i = first; i < first + 3; ++i) {
+      Entry e;
+      e.mbr = Rect(i, i, i + 1, i + 1);
+      e.payload = Entry::PayloadFromRid(Rid{i, 0});
+      entries.push_back(e);
+    }
+    auto id = left.BulkWriteNode(0, entries);
+    PICTDB_CHECK(id.ok());
+    return *id;
+  };
+  const storage::PageId children[] = {write_leaf(0), storage::kInvalidPageId,
+                                      write_leaf(10)};
+  std::vector<Entry> root;
+  for (const storage::PageId child : children) {
+    Entry e;
+    e.mbr = Rect(0, 0, 20, 20);
+    e.payload = Entry::PayloadFromChild(child);
+    root.push_back(e);
+  }
+  auto root_id = left.BulkWriteNode(1, root);
+  ASSERT_TRUE(root_id.ok());
+  ASSERT_TRUE(left.BulkSetRoot(*root_id, 2, 6).ok());
+  RTree right = MakeTree(&env, {Rect(0, 0, 20, 20)}, false);
+
+  PairSet got;
+  const auto cb = [&got](const LeafHit& l, const LeafHit& r) {
+    got.insert({l.rid.page_id, r.rid.page_id});
+  };
+  JoinStats stats;
+  SearchOptions options;
+  options.degraded_ok = true;
+  ASSERT_TRUE(SpatialJoin(left, right, cb, &stats, options).ok());
+  EXPECT_EQ(got.size(), 6u);
+  EXPECT_EQ(stats.skipped_subtrees, 1u);
+  EXPECT_TRUE(stats.degraded);
+  EXPECT_FALSE(SpatialJoin(left, right, cb).ok());
 }
 
 }  // namespace
