@@ -4,12 +4,13 @@
 // disk, so misses dominate and every injected read error forces a
 // backoff+retry on the miss path. Emits one JSON line per fault rate.
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <future>
 #include <vector>
 
 #include "common/logging.h"
+#include "common/parallel_for.h"
 #include "common/random.h"
 #include "pack/pack.h"
 #include "rtree/rtree.h"
@@ -64,29 +65,19 @@ RunResult RunAtFaultRate(double fault_rate,
   PICTDB_CHECK_OK(pack::Pack(
       &tree.value(), pack::MakeLeafEntries(points, rids)));
 
-  service::ServiceOptions sopts;
-  sopts.num_threads = kThreads;
-  sopts.queue_capacity = windows.size();
-  service::QueryService svc(&tree.value(), nullptr, sopts);
-
+  service::QueryService svc(&tree.value(), nullptr);
   const auto start = std::chrono::steady_clock::now();
-  std::vector<std::future<StatusOr<service::QueryResult>>> futures;
-  futures.reserve(windows.size());
-  for (const geom::Rect& w : windows) {
-    auto submitted = svc.Submit(service::WindowQuery{w, false});
-    PICTDB_CHECK(submitted.ok()) << submitted.status().ToString();
-    futures.push_back(std::move(submitted).value());
-  }
-  RunResult r;
-  for (auto& f : futures) {
-    auto outcome = f.get();
+  std::atomic<uint64_t> hits{0};
+  ParallelFor(kThreads, windows.size(), [&](size_t i) {
+    auto outcome = svc.RunSync(service::WindowQuery{windows[i], false});
     PICTDB_CHECK(outcome.ok()) << outcome.status().ToString();
-    r.hits += outcome.value().hits.size();
-  }
+    hits.fetch_add(outcome.value().hits.size());
+  });
+  RunResult r;
+  r.hits = hits.load();
   r.elapsed_ms = std::chrono::duration<double, std::milli>(
                      std::chrono::steady_clock::now() - start)
                      .count();
-  svc.Shutdown();
   r.qps = static_cast<double>(windows.size()) / (r.elapsed_ms / 1000.0);
   const auto metrics = svc.Metrics();
   r.avg_latency_us = metrics.avg_latency_us();

@@ -1,19 +1,20 @@
-// Window-query throughput of the concurrent query service at 1/2/4/8
-// worker threads over one shared 100k-object packed R-tree.
+// Window-query throughput of the query service at 1/2/4/8 caller
+// threads over one shared 100k-object packed R-tree.
 //
 // The tree sits behind a small sharded buffer pool on a simulated disk
 // (LatencyDiskManager): every page miss costs a fixed seek, as in the
 // paper's disk-resident setting. That is the regime the service is for —
-// worker threads blocked on different page seeks overlap, so throughput
+// threads blocked on different page seeks overlap, so throughput
 // scales with the thread count well past a single CPU. Emits one JSON
 // line per thread count for the perf trajectory.
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <future>
 #include <vector>
 
 #include "common/logging.h"
+#include "common/parallel_for.h"
 #include "common/random.h"
 #include "pack/pack.h"
 #include "rtree/rtree.h"
@@ -36,31 +37,19 @@ double RunAtThreadCount(const rtree::RTree& tree,
                         const std::vector<geom::Rect>& windows,
                         size_t threads, uint64_t* hits_out,
                         double* avg_nodes_out) {
-  service::ServiceOptions options;
-  options.num_threads = threads;
-  options.queue_capacity = windows.size();
-  service::QueryService svc(&tree, nullptr, options);
-
+  service::QueryService svc(&tree, nullptr);
   const auto start = std::chrono::steady_clock::now();
-  std::vector<std::future<StatusOr<service::QueryResult>>> futures;
-  futures.reserve(windows.size());
-  for (const geom::Rect& w : windows) {
-    auto submitted = svc.Submit(service::WindowQuery{w, false});
-    PICTDB_CHECK(submitted.ok()) << submitted.status().ToString();
-    futures.push_back(std::move(submitted).value());
-  }
-  uint64_t hits = 0;
-  for (auto& f : futures) {
-    auto outcome = f.get();
+  std::atomic<uint64_t> hits{0};
+  ParallelFor(threads, windows.size(), [&](size_t i) {
+    auto outcome = svc.RunSync(service::WindowQuery{windows[i], false});
     PICTDB_CHECK(outcome.ok()) << outcome.status().ToString();
-    hits += outcome.value().hits.size();
-  }
+    hits.fetch_add(outcome.value().hits.size());
+  });
   const double elapsed_ms =
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - start)
           .count();
-  svc.Shutdown();
-  *hits_out = hits;
+  *hits_out = hits.load();
   *avg_nodes_out = svc.Metrics().avg_nodes_visited();
   return elapsed_ms;
 }

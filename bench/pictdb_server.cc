@@ -375,7 +375,6 @@ int Run(int argc, char** argv) {
 
   server.Join();  // returns after a drain (signal or RequestDrain)
   net::Server::InstallSignalHandlers(nullptr);
-  service.Shutdown();
   std::fprintf(stderr, "drained; final stats:\n");
   server.DumpStats(stderr);
   return 0;

@@ -1,12 +1,12 @@
 // Deterministic stress-harness driver. Generates a seeded workload
-// trace, runs it against the R-tree (optionally through the concurrent
-// query service) with every query diffed against the brute-force
-// oracle and TreeValidator run on a cadence, and — when a run fails —
-// shrinks the trace to a minimal text reproducer.
+// trace, runs it from one driving thread against the R-tree (optionally
+// through the query service) with every query diffed against the
+// brute-force oracle and TreeValidator run on a cadence, and — when a
+// run fails — shrinks the trace to a minimal text reproducer.
 //
 // Usage:
 //   stress_harness [seed] [ops]             seeded run (default 1 1000)
-//   stress_harness --service [seed] [ops]   route queries through the pool
+//   stress_harness --service [seed] [ops]   route queries through RunSync
 //   stress_harness --faults [seed] [ops]    1% transient faults + bit flips
 //   stress_harness --crash [seed] [ops]     WAL'd writes on a volatile
 //                                           write cache with seeded power
@@ -18,14 +18,11 @@
 //                                           write path)
 //   stress_harness --replay file.trace      re-run a saved reproducer
 //   stress_harness --demo-shrink            plant a corruption, show ddmin
-//   stress_harness --lint-env [seed]        short smoke over exactly the
-//                                           lock-annotated paths (shard
-//                                           mutexes, admission queue,
-//                                           fault injector, quarantine) —
-//                                           run under a TSan build so the
-//                                           dynamic race detector checks
-//                                           the same paths the static
-//                                           analysis signed off on
+//   stress_harness --lint-env [seed]        short smoke over the
+//                                           lock-annotated read and fault
+//                                           paths (shard mutexes, fault
+//                                           injector, quarantine), from
+//                                           one actor, under a TSan build
 
 #include <cstdio>
 #include <cstdlib>
@@ -129,15 +126,15 @@ int main(int argc, char** argv) {
 
   if (lint_env) {
     // Belt and suspenders with the static analysis: a short
-    // service-routed, fault-injected run touches every mutex the
-    // annotation pass covers (buffer-pool shard + jitter PRNG, fault
-    // injector plan, quarantine, thread-pool queue — all contended by
-    // four workers), so a TSan build of this mode dynamically
-    // re-checks the paths clang -Wthread-safety verified statically.
+    // service-routed, fault-injected run takes the mutexes the
+    // annotation pass covers on the read and fault paths (buffer-pool
+    // shard + jitter PRNG, fault injector plan, quarantine), so a TSan
+    // build of this mode re-checks them at run time. One actor drives
+    // the whole trace, so at most one query is in flight and no lock
+    // is contended.
     // Keep it small enough for a CI smoke.
     StressConfig config = BaseConfig(seed, 400);
     config.use_service = true;
-    config.service_threads = 4;
     config.pool_frames = 32;  // force eviction + miss traffic per shard
     EnableFaults(&config);
     const StressOutcome outcome = RunTrace(GenerateTrace(config), config);

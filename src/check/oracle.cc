@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <future>
 #include <sstream>
 #include <tuple>
 
+#include "common/parallel_for.h"
 #include "common/random.h"
 #include "service/query_service.h"
 #include "workload/generators.h"
@@ -353,16 +353,10 @@ StatusOr<DiffReport> DiffRunner::Run(const DiffConfig& config) const {
   report.queries = batch.size();
 
   if (config.use_service) {
-    service::ServiceOptions sopts;
-    sopts.num_threads = config.service_threads;
-    sopts.queue_capacity = batch.size() + 1;
-    service::QueryService svc(tree_, executor_, sopts);
+    service::QueryService svc(tree_, executor_);
     service::QueryOptions qopts;
     qopts.degraded_ok = config.degraded_ok;
-
-    std::vector<std::future<StatusOr<service::QueryResult>>> futures;
-    futures.reserve(batch.size());
-    for (const QueryDesc& q : batch) {
+    auto to_query = [this](const QueryDesc& q) {
       service::Query query;
       switch (q.kind) {
         case QueryKind::kWindow:
@@ -384,12 +378,16 @@ StatusOr<DiffReport> DiffRunner::Run(const DiffConfig& config) const {
           query = service::PsqlQuery{q.psql_text};
           break;
       }
-      PICTDB_ASSIGN_OR_RETURN(auto future,
-                              svc.Submit(std::move(query), qopts));
-      futures.push_back(std::move(future));
-    }
-    for (size_t i = 0; i < futures.size(); ++i) {
-      StatusOr<service::QueryResult> outcome = futures[i].get();
+      return query;
+    };
+
+    std::vector<StatusOr<service::QueryResult>> outcomes(
+        batch.size(), Status::Internal("query not run"));
+    ParallelFor(config.service_threads, batch.size(), [&](size_t i) {
+      outcomes[i] = svc.RunSync(to_query(batch[i]), qopts);
+    });
+    for (size_t i = 0; i < outcomes.size(); ++i) {
+      const StatusOr<service::QueryResult>& outcome = outcomes[i];
       if (!outcome.ok()) {
         ++report.failures;
         record_mismatch(i, "query failed: " + outcome.status().ToString());

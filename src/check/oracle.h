@@ -109,8 +109,8 @@ struct DiffConfig {
   /// as admissible subsets instead of wrong answers).
   bool degraded_ok = false;
 
-  /// Replay through a QueryService (concurrent batch submission)
-  /// instead of direct single-threaded tree calls.
+  /// Replay through a QueryService, from `service_threads` caller
+  /// threads at once, instead of direct single-threaded tree calls.
   bool use_service = false;
   size_t service_threads = 4;
 };

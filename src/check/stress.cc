@@ -385,10 +385,7 @@ StressOutcome RunTrace(const std::vector<Op>& trace,
 
   std::unique_ptr<service::QueryService> svc;
   auto make_service = [&] {
-    service::ServiceOptions sopts;
-    sopts.num_threads = config.service_threads;
-    svc = std::make_unique<service::QueryService>(&query_tree(), nullptr,
-                                                  sopts);
+    svc = std::make_unique<service::QueryService>(&query_tree(), nullptr);
     if (durable != nullptr) svc->BindWriter(durable.get());
   };
   if (config.use_service) make_service();

@@ -82,11 +82,10 @@ struct StressConfig {
   /// `seed`, so the fault sequence replays exactly).
   storage::FaultPlan fault_plan;
 
-  /// Run query ops through a QueryService worker pool instead of direct
-  /// calls (mutations always run on the driving thread; the service is
-  /// idle whenever a writer runs, honouring its concurrency contract).
+  /// Run query ops through QueryService::RunSync instead of direct
+  /// calls. Everything runs on the one driving thread, so at most one
+  /// query is in flight and the service is idle whenever a writer runs.
   bool use_service = false;
-  size_t service_threads = 4;
 
   /// Route all mutations through a wal::DurableRTree (WAL append +
   /// fsync per commit) layered on a volatile write cache, enabling

@@ -561,7 +561,7 @@ void Server::HandleQueryRequest(Connection* conn, const FrameHeader& header,
   query_options.degraded_ok = request.options.degraded_ok;
 
   const StatusOr<service::QueryResult> outcome =
-      bindings_.service->Execute(query, query_options);
+      bindings_.service->RunSync(query, query_options);
   if (!outcome.ok()) {
     ReplyError(conn, header.request_id, outcome.status());
     return;

@@ -38,9 +38,9 @@ struct ServerOptions {
   double quota_qps = 0.0;
   double quota_burst = 16.0;
 
-  /// Per-connection in-flight request bound; combined with the query
-  /// service's bounded admission queue this is the backpressure path —
-  /// both reject with ResourceExhausted (the binary protocol's "429").
+  /// Per-connection in-flight request bound: the backpressure path.
+  /// Requests past it get ResourceExhausted (the binary protocol's
+  /// "429").
   size_t max_inflight_per_conn = 64;
 
   /// Hot-window result cache budget in payload bytes (0 = disabled).
@@ -75,7 +75,7 @@ struct ServerStatsSnapshot {
 /// serving threads share one epoll set in which every connection is
 /// armed EPOLLIN | EPOLLONESHOT, so the kernel hands a ready connection
 /// to exactly one idle thread. That thread reads and decodes its frames,
-/// runs each query on its own stack (QueryService::Execute, or
+/// runs each query on its own stack (QueryService::RunSync, or
 /// ExecuteWrite for writes), sends each response as soon as it is
 /// encoded, and re-arms the connection; only a send that would block
 /// leaves bytes in the connection's write buffer, and the re-arm then
@@ -90,9 +90,8 @@ struct ServerStatsSnapshot {
 ///   2. per-connection token-bucket quota
 ///   3. per-connection in-flight bound: requests read whose responses
 ///      are not fully written
-/// The wire path does not use the service's bounded queue: the number
-/// of serving threads bounds concurrency, and requests not yet read
-/// wait in the kernel's socket buffers.
+/// The number of serving threads bounds concurrency, and requests not
+/// yet read wait in the kernel's socket buffers.
 ///
 /// Graceful drain (SIGINT/SIGTERM via InstallSignalHandlers, or
 /// RequestDrain): one eventfd write wakes every serving thread; each

@@ -122,8 +122,8 @@ class LatencyHistogram {
 
 /// Plain-value service counters, safe to copy, compare, and serialize.
 struct ServiceMetricsSnapshot {
-  uint64_t submitted = 0;  // accepted into the queue
-  uint64_t rejected = 0;   // refused by admission control
+  uint64_t submitted = 0;  // RunSync calls accepted and run
+  uint64_t rejected = 0;   // RunSync calls refused after Shutdown
   uint64_t completed = 0;  // finished with an OK result
   uint64_t failed = 0;     // finished with an error status
   uint64_t total_latency_us = 0;
@@ -132,9 +132,9 @@ struct ServiceMetricsSnapshot {
   uint64_t total_results = 0;
   uint64_t deadline_exceeded = 0;  // failures due to deadline/cancel
   uint64_t degraded = 0;           // completions with partial results
-  /// Service latency (queue wait + execution, microseconds) per query
-  /// variant, indexed per kQueryVariantNames. Failures are recorded too:
-  /// a deadline expiry is latency the client observed.
+  /// Service latency (execution on the calling thread, microseconds)
+  /// per query variant, indexed per kQueryVariantNames. Failures are
+  /// recorded too: a deadline expiry is latency the client observed.
   std::array<HistogramSnapshot, kQueryVariants> variant_latency{};
 
   /// All variants merged into one distribution.
@@ -160,8 +160,8 @@ struct ServiceMetricsSnapshot {
 };
 
 /// Lock-free aggregation of per-query accounting into a service-level
-/// view. Workers record into atomics; Snapshot() produces the plain
-/// struct above for reporting.
+/// view. Querying threads record into atomics; Snapshot() produces the
+/// plain struct above for reporting.
 class ServiceMetrics {
  public:
   void RecordSubmitted() { Add(submitted_); }

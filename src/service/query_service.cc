@@ -1,7 +1,6 @@
 #include "service/query_service.h"
 
 #include <chrono>
-#include <memory>
 #include <utility>
 
 #include "storage/epoch.h"
@@ -25,12 +24,7 @@ QueryService::QueryService(const rtree::RTree* tree,
                            const ServiceOptions& options)
     : tree_(tree),
       executor_(executor),
-      options_(options),
-      pool_(options.num_threads, options.queue_capacity) {}
-
-QueryService::~QueryService() { Shutdown(); }
-
-void QueryService::Shutdown() { pool_.Shutdown(); }
+      options_(options) {}
 
 StatusOr<QueryResult> QueryService::Dispatch(
     const Query& query, const rtree::SearchOptions& search_options) {
@@ -92,20 +86,17 @@ StatusOr<QueryResult> QueryService::Dispatch(
 }
 
 StatusOr<QueryResult> QueryService::RunAdmitted(
-    const Query& query, const QueryOptions& options,
-    std::chrono::steady_clock::time_point admitted) {
-  // The deadline anchors to admission, not execution start, so queue
-  // wait eats into the budget (the caller's clock is what matters).
+    const Query& query, const QueryOptions& options) {
+  const auto start = std::chrono::steady_clock::now();
   rtree::SearchOptions search_options;
   if (options.timeout.count() > 0) {
-    search_options.deadline = admitted + options.timeout;
+    search_options.deadline = start + options.timeout;
   }
   search_options.cancel = &cancel_all_;
   search_options.degraded_ok = options.degraded_ok;
   search_options.quarantine = &quarantine_;
 
   const size_t variant = query.index();
-  const auto start = std::chrono::steady_clock::now();
   // With a writer bound, pin the reclamation epoch for the whole
   // traversal: pages a concurrent mutation unlinks stay allocated until
   // this guard is released.
@@ -134,35 +125,14 @@ StatusOr<QueryResult> QueryService::RunAdmitted(
   return outcome;
 }
 
-StatusOr<QueryResult> QueryService::Execute(const Query& query,
+StatusOr<QueryResult> QueryService::RunSync(const Query& query,
                                             const QueryOptions& options) {
-  metrics_.RecordSubmitted();
-  return RunAdmitted(query, options, std::chrono::steady_clock::now());
-}
-
-StatusOr<std::future<StatusOr<QueryResult>>> QueryService::Submit(
-    Query query, const QueryOptions& options) {
-  // shared_ptr because std::function requires copyable callables.
-  auto promise = std::make_shared<std::promise<StatusOr<QueryResult>>>();
-  std::future<StatusOr<QueryResult>> future = promise->get_future();
-  const Status admitted = pool_.TrySubmit(
-      [this, query = std::move(query), options, promise,
-       admitted_at = std::chrono::steady_clock::now()] {
-        promise->set_value(RunAdmitted(query, options, admitted_at));
-      });
-  if (!admitted.ok()) {
+  if (shut_down_.load(std::memory_order_acquire)) {
     metrics_.RecordRejected();
-    return admitted;
+    return Status::InvalidArgument("query service is shut down");
   }
   metrics_.RecordSubmitted();
-  return future;
-}
-
-StatusOr<QueryResult> QueryService::RunSync(Query query,
-                                            const QueryOptions& options) {
-  PICTDB_ASSIGN_OR_RETURN(std::future<StatusOr<QueryResult>> future,
-                          Submit(std::move(query), options));
-  return future.get();
+  return RunAdmitted(query, options);
 }
 
 Status QueryService::ExecuteWrite(const WriteOp& op) {

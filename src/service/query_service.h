@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <optional>
 #include <string>
 #include <variant>
@@ -17,7 +16,6 @@
 #include "rtree/knn.h"
 #include "rtree/rtree.h"
 #include "service/metrics.h"
-#include "service/thread_pool.h"
 #include "storage/quarantine.h"
 
 namespace pictdb::wal {
@@ -117,8 +115,8 @@ struct QueryResult {
 
 /// Per-query execution controls.
 struct QueryOptions {
-  /// Wall-clock budget measured from Submit(); 0 = no deadline. Expiry
-  /// fails the query with Status::DeadlineExceeded.
+  /// Wall-clock budget measured from the RunSync() call; 0 = no
+  /// deadline. Expiry fails the query with Status::DeadlineExceeded.
   std::chrono::microseconds timeout{0};
   /// Skip unreadable/corrupt subtrees (quarantining their pages) and
   /// return partial results flagged `degraded` instead of failing.
@@ -126,68 +124,46 @@ struct QueryOptions {
 };
 
 struct ServiceOptions {
-  /// Worker threads executing queries.
+  /// Serving threads that a net::Server over this service starts. The
+  /// service itself owns no threads.
   size_t num_threads = 4;
-  /// Bound on queued (admitted but unstarted) queries; submissions
-  /// beyond it are rejected with ResourceExhausted.
-  size_t queue_capacity = 256;
 };
 
 /// Concurrent query service over one shared packed R-tree (and,
 /// optionally, a PSQL executor over a shared catalog).
 ///
 /// Concurrency model: with no writer bound the tree is immutable after
-/// PACK, so N worker threads traverse it simultaneously through the
-/// thread-safe buffer pool with no tree-level latching at all — the
-/// pool's shard mutexes are the only locks on the read path. Binding a
-/// wal::DurableRTree (BindWriter, before traffic starts) turns on the
-/// online-mutation mode: write ops are serialized through the durable
-/// tree's commit lock while queries keep running — each query then
-/// brackets its traversal with an epoch guard (pages unlinked by a
+/// PACK, so any number of caller threads traverse it simultaneously
+/// through the thread-safe buffer pool with no tree-level latching at
+/// all — the pool's shard mutexes are the only locks on the read path.
+/// Binding a wal::DurableRTree (BindWriter, before traffic starts) turns
+/// on the online-mutation mode: write ops are serialized through the
+/// durable tree's commit lock while queries keep running — each query
+/// then brackets its traversal with an epoch guard (pages unlinked by a
 /// concurrent restructuring are not reused until the reader leaves) and
 /// node reads take the per-frame latches the mutator writes under.
 /// Re-PACK of the served tree still requires quiescing the service.
 ///
-/// Two ways in, one execution path: Submit()/RunSync() queue the query
-/// for the service's worker pool, and Execute() runs it on the calling
-/// thread. Admission control applies to the pool: Submit() never
-/// blocks, and when the bounded queue is full the query is rejected
-/// immediately with ResourceExhausted so the caller can shed or retry,
-/// instead of the queue growing without bound. Execute() callers bound
-/// concurrency with their own thread count.
+/// One way in: RunSync() runs the query to completion on the calling
+/// thread. The service owns no threads and no queue; callers that want
+/// concurrency bring their own threads (the network server's serving
+/// threads) and so bound it with their own thread count.
 class QueryService {
  public:
   /// `tree` must outlive the service. `executor` may be null when no
-  /// PSQL queries will be submitted; it must be used read-only for the
+  /// PSQL queries will be run; it must be used read-only for the
   /// service's lifetime.
   QueryService(const rtree::RTree* tree, const psql::Executor* executor,
                const ServiceOptions& options = {});
 
-  /// Drains in-flight queries, then joins the workers.
-  ~QueryService();
-
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
 
-  /// Asynchronous submission to the worker pool. An error here means
-  /// the query was never admitted (queue full / shut down); errors
-  /// during execution surface through the future instead.
-  /// `options.timeout` starts counting now, so time spent queued eats
-  /// into the budget.
-  StatusOr<std::future<StatusOr<QueryResult>>> Submit(
-      Query query, const QueryOptions& options = {});
-
-  /// Run `query` to completion on the calling thread, with the same
-  /// deadline, cancellation, epoch guard and metrics as a pool-run
-  /// query but no queue and no hand-off: for callers that bring their
-  /// own threads (the network server's serving threads). Never
-  /// rejected; the caller bounds its own concurrency.
-  StatusOr<QueryResult> Execute(const Query& query,
-                                const QueryOptions& options = {});
-
-  /// Convenience: submit and wait. Admission errors are returned
-  /// directly.
-  StatusOr<QueryResult> RunSync(Query query,
+  /// Run `query` to completion on the calling thread: deadline,
+  /// cancellation, the writer's epoch guard, then metrics. After
+  /// Shutdown() the query is refused with InvalidArgument and counted
+  /// in `rejected`; otherwise errors come from execution.
+  StatusOr<QueryResult> RunSync(const Query& query,
                                 const QueryOptions& options = {});
 
   // --- Write path ---------------------------------------------------------
@@ -204,10 +180,9 @@ class QueryService {
     commit_hook_ = std::move(hook);
   }
 
-  /// Execute one write synchronously on the calling thread (writes are
-  /// serialized by the durable tree's commit lock regardless, so there
-  /// is no parallelism to gain from queueing; the network server calls
-  /// this from its serving threads). NotSupported without a
+  /// Execute one write on the calling thread (writes are serialized by
+  /// the durable tree's commit lock; the network server calls this from
+  /// its serving threads). NotSupported without a
   /// bound writer; NotFound when a delete/update precondition misses.
   Status ExecuteWrite(const WriteOp& op);
 
@@ -217,8 +192,8 @@ class QueryService {
     return write_metrics_.Snapshot();
   }
 
-  /// Cooperatively cancel every in-flight and queued query: each fails
-  /// with DeadlineExceeded at its next per-node poll. Queries submitted
+  /// Cooperatively cancel every running query: each fails with
+  /// DeadlineExceeded at its next per-node poll. Queries started
   /// afterwards also fail until ClearCancel().
   void CancelAll() { cancel_all_.store(true, std::memory_order_relaxed); }
   void ClearCancel() { cancel_all_.store(false, std::memory_order_relaxed); }
@@ -227,26 +202,22 @@ class QueryService {
   /// pack::ScrubAndRepack).
   storage::PageQuarantine* quarantine() { return &quarantine_; }
 
-  /// Graceful shutdown: stop admitting, run every already-accepted
-  /// query to completion, join the workers. Idempotent; also run by the
-  /// destructor.
-  void Shutdown();
+  /// Refuse every later RunSync(). Queries already running finish
+  /// normally; nothing is joined, since the service owns no threads.
+  /// Idempotent. Writes are not affected.
+  void Shutdown() { shut_down_.store(true, std::memory_order_release); }
 
   /// Service-level aggregation of per-query accounting.
   ServiceMetricsSnapshot Metrics() const { return metrics_.Snapshot(); }
 
-  /// Queries admitted but not yet started.
-  size_t queue_depth() const { return pool_.queue_depth(); }
-
   const ServiceOptions& options() const { return options_; }
 
  private:
-  /// The one execution path behind Submit and Execute: deadline from
-  /// `admitted` + `options.timeout`, CancelAll, the writer's epoch
-  /// guard, Dispatch, then completion metrics.
-  StatusOr<QueryResult> RunAdmitted(
-      const Query& query, const QueryOptions& options,
-      std::chrono::steady_clock::time_point admitted);
+  /// The one execution path behind RunSync: deadline from the call +
+  /// `options.timeout`, CancelAll, the writer's epoch guard, Dispatch,
+  /// then completion metrics.
+  StatusOr<QueryResult> RunAdmitted(const Query& query,
+                                    const QueryOptions& options);
   StatusOr<QueryResult> Dispatch(const Query& query,
                                  const rtree::SearchOptions& search_options);
 
@@ -260,8 +231,8 @@ class QueryService {
   ServiceMetrics metrics_;
   WriteMetrics write_metrics_;
   std::atomic<bool> cancel_all_{false};
+  std::atomic<bool> shut_down_{false};
   storage::PageQuarantine quarantine_;
-  ThreadPool pool_;  // last member: workers die before the rest
 };
 
 }  // namespace pictdb::service

@@ -1,8 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <map>
+#include <mutex>
+#include <set>
 #include <string>
+#include <thread>
+#include <vector>
 
+#include "common/parallel_for.h"
 #include "common/random.h"
 #include "common/slice.h"
 #include "common/status.h"
@@ -167,6 +174,55 @@ TEST(RandomTest, BernoulliFrequency) {
     if (rng.Bernoulli(0.3)) ++hits;
   }
   EXPECT_NEAR(hits / 10000.0, 0.3, 0.03);
+}
+
+TEST(ParallelForTest, CallsEveryIndexExactlyOnce) {
+  for (const size_t threads : {1u, 3u, 8u}) {
+    for (const size_t n : {0u, 1u, 5u, 1000u}) {
+      std::vector<std::atomic<int>> calls(n);
+      ParallelFor(threads, n, [&](size_t i) { ++calls[i]; });
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(calls[i].load(), 1)
+            << "threads=" << threads << " n=" << n << " i=" << i;
+      }
+    }
+  }
+}
+
+TEST(ParallelForTest, ZeroThreadsRunsEveryIndexOnOneStartedThread) {
+  std::mutex mu;
+  std::set<std::thread::id> ids;
+  std::vector<size_t> order;
+  ParallelFor(0, 50, [&](size_t i) {
+    std::lock_guard<std::mutex> lock(mu);
+    ids.insert(std::this_thread::get_id());
+    order.push_back(i);
+  });
+  ASSERT_EQ(ids.size(), 1u);
+  EXPECT_NE(*ids.begin(), std::this_thread::get_id());
+  ASSERT_EQ(order.size(), 50u);
+  // One thread claims the indices from the counter in turn.
+  for (size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
+}
+
+TEST(ParallelForTest, CallsRunConcurrentlyOnSeparateThreads) {
+  // Every call waits until all four have started, which only finishes
+  // if four threads run them at once. The wait is bounded so a serial
+  // ParallelFor fails instead of hanging.
+  constexpr size_t kThreads = 4;
+  std::atomic<size_t> arrived{0};
+  std::atomic<size_t> saw_all{0};
+  ParallelFor(kThreads, kThreads, [&](size_t) {
+    ++arrived;
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (arrived.load() < kThreads &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::yield();
+    }
+    if (arrived.load() == kThreads) ++saw_all;
+  });
+  EXPECT_EQ(saw_all.load(), kThreads);
 }
 
 }  // namespace

@@ -9,12 +9,12 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
-#include <future>
 #include <memory>
 #include <set>
 #include <vector>
 
 #include "check/invariants.h"
+#include "common/parallel_for.h"
 #include "common/random.h"
 #include "pack/pack.h"
 #include "pack/repack.h"
@@ -557,9 +557,7 @@ TEST(FaultServiceTest, QueryTimeoutSurfacesThroughTheService) {
   auto tree = RTree::Open(&pool, meta);
   ASSERT_TRUE(tree.ok());
 
-  service::ServiceOptions sopts;
-  sopts.num_threads = 1;
-  service::QueryService svc(&*tree, nullptr, sopts);
+  service::QueryService svc(&*tree, nullptr);
 
   service::QueryOptions qopts;
   qopts.timeout = std::chrono::microseconds(3000);
@@ -651,14 +649,10 @@ TEST(FaultAcceptanceTest, MixedWorkloadUnderTransientFaultsHasZeroWrongAnswers) 
   std::vector<Point> points;
   auto tree = BuildTree(&pool, 5000, &points);
 
-  service::ServiceOptions sopts;
-  sopts.num_threads = 4;
-  sopts.queue_capacity = 1024;
-  service::QueryService svc(tree.get(), nullptr, sopts);
+  service::QueryService svc(tree.get(), nullptr);
 
   Random qrng(13);
   size_t wrong = 0;
-  std::vector<std::future<StatusOr<service::QueryResult>>> futures;
   std::vector<size_t> kind;   // 0 window, 1 point, 2 knn
   std::vector<Rect> windows;
   std::vector<Point> qpoints;
@@ -668,18 +662,12 @@ TEST(FaultAcceptanceTest, MixedWorkloadUnderTransientFaultsHasZeroWrongAnswers) 
     if (i % 3 == 0) {
       const Rect w = Rect::FromCenterHalfExtent(
           qrng.UniformDouble(0, 1000), 20, qrng.UniformDouble(0, 1000), 20);
-      auto f = svc.Submit(service::WindowQuery{w, false});
-      ASSERT_TRUE(f.ok());
-      futures.push_back(std::move(f).value());
       kind.push_back(0);
       windows.push_back(w);
       qpoints.push_back(Point{});
       ks.push_back(0);
     } else if (i % 3 == 1) {
       const Point p{qrng.UniformDouble(0, 1000), qrng.UniformDouble(0, 1000)};
-      auto f = svc.Submit(service::PointQuery{p});
-      ASSERT_TRUE(f.ok());
-      futures.push_back(std::move(f).value());
       kind.push_back(1);
       windows.push_back(Rect{});
       qpoints.push_back(p);
@@ -687,9 +675,6 @@ TEST(FaultAcceptanceTest, MixedWorkloadUnderTransientFaultsHasZeroWrongAnswers) 
     } else {
       const Point p{qrng.UniformDouble(0, 1000), qrng.UniformDouble(0, 1000)};
       const size_t k = 1 + qrng.Uniform(10);
-      auto f = svc.Submit(service::KnnQuery{p, k});
-      ASSERT_TRUE(f.ok());
-      futures.push_back(std::move(f).value());
       kind.push_back(2);
       windows.push_back(Rect{});
       qpoints.push_back(p);
@@ -697,8 +682,21 @@ TEST(FaultAcceptanceTest, MixedWorkloadUnderTransientFaultsHasZeroWrongAnswers) 
     }
   }
 
-  for (size_t i = 0; i < futures.size(); ++i) {
-    auto outcome = futures[i].get();
+  // Four caller threads run the queries at once.
+  std::vector<StatusOr<service::QueryResult>> outcomes(
+      kind.size(), Status::Internal("not run"));
+  ParallelFor(4, kind.size(), [&](size_t i) {
+    if (kind[i] == 0) {
+      outcomes[i] = svc.RunSync(service::WindowQuery{windows[i], false});
+    } else if (kind[i] == 1) {
+      outcomes[i] = svc.RunSync(service::PointQuery{qpoints[i]});
+    } else {
+      outcomes[i] = svc.RunSync(service::KnnQuery{qpoints[i], ks[i]});
+    }
+  });
+
+  for (size_t i = 0; i < outcomes.size(); ++i) {
+    const StatusOr<service::QueryResult>& outcome = outcomes[i];
     ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
     ASSERT_FALSE(outcome->degraded);
     if (kind[i] == 0) {

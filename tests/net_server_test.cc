@@ -90,7 +90,6 @@ class NetServerTest : public ::testing::Test {
 
     service::ServiceOptions service_options;
     service_options.num_threads = 4;
-    service_options.queue_capacity = 128;
     service_ = std::make_unique<service::QueryService>(
         tree_.get(), /*executor=*/nullptr, service_options);
   }
@@ -820,7 +819,6 @@ TEST_F(NetServerTest, WritesCommitAndInvalidateCachedResults) {
   EXPECT_TRUE(still_cached->cached());
 
   server.Stop();
-  svc.Shutdown();
   // Everything acked above is durable: reopen after a simulated crash
   // is covered in wal_crash_test; here we just close cleanly.
   EXPECT_TRUE(durable->Close().ok());

@@ -1,6 +1,6 @@
-// Concurrency tests for the query service: 8 worker threads x 1k mixed
-// window/kNN queries over one shared PACK-built tree, validated against
-// a single-threaded oracle; plus admission control, graceful shutdown,
+// Concurrency tests for the query service: 8 caller threads x 1k mixed
+// window/kNN RunSync calls over one shared PACK-built tree, validated
+// against a single-threaded oracle; plus refusal after shutdown,
 // metrics aggregation, and concurrent PSQL execution over a shared
 // catalog. Run these under -fsanitize=thread as well as plain (see
 // README: cmake -B build-tsan -S . -DPICTDB_SANITIZE=thread).
@@ -9,19 +9,16 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
-#include <future>
-#include <latch>
 #include <thread>
 #include <vector>
 
+#include "common/parallel_for.h"
 #include "common/random.h"
 #include "pack/pack.h"
 #include "psql/executor.h"
 #include "rel/catalog.h"
 #include "rtree/rtree.h"
 #include "service/query_service.h"
-#include "service/thread_pool.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
 #include "wal/durable_tree.h"
@@ -65,7 +62,7 @@ class ServiceStressTest : public ::testing::Test {
         tree_.get(), pack::MakeLeafEntries(points_, rids)));
 
     // Query mix and single-threaded oracle. kDistinct distinct queries;
-    // the stress test submits each several times to reach the full
+    // the stress test runs each several times to reach the full
     // 8x1000 volume without paying the brute-force oracle 8000 times.
     Random qrng(7);
     const size_t n = kDistinct;
@@ -112,21 +109,21 @@ class ServiceStressTest : public ::testing::Test {
 
 TEST_F(ServiceStressTest, EightThreadsMatchSingleThreadedOracle) {
   const size_t total = kThreads * kQueriesPerThread;
-  ServiceOptions options;
-  options.num_threads = kThreads;
-  options.queue_capacity = total;  // no rejects in this test
-  QueryService service(tree_.get(), /*executor=*/nullptr, options);
+  QueryService service(tree_.get(), /*executor=*/nullptr);
 
-  std::vector<std::future<StatusOr<QueryResult>>> futures;
-  futures.reserve(total);
-  for (size_t i = 0; i < total; ++i) {
-    auto submitted = service.Submit(queries_[i % kDistinct]);
-    ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
-    futures.push_back(std::move(submitted).value());
-  }
+  // kThreads caller threads, each running its own kQueriesPerThread
+  // queries back to back on its own stack.
+  std::vector<StatusOr<QueryResult>> outcomes(total,
+                                              Status::Internal("not run"));
+  ParallelFor(kThreads, kThreads, [&](size_t t) {
+    for (size_t i = t * kQueriesPerThread; i < (t + 1) * kQueriesPerThread;
+         ++i) {
+      outcomes[i] = service.RunSync(queries_[i % kDistinct]);
+    }
+  });
 
-  for (size_t i = 0; i < futures.size(); ++i) {
-    StatusOr<QueryResult> outcome = futures[i].get();
+  for (size_t i = 0; i < outcomes.size(); ++i) {
+    const StatusOr<QueryResult>& outcome = outcomes[i];
     ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
     const QueryResult& r = outcome.value();
     const size_t qi = i % kDistinct;
@@ -141,7 +138,6 @@ TEST_F(ServiceStressTest, EightThreadsMatchSingleThreadedOracle) {
     EXPECT_GT(r.stats.nodes_visited, 0u);
   }
 
-  service.Shutdown();
   const ServiceMetricsSnapshot m = service.Metrics();
   EXPECT_EQ(m.submitted, total);
   EXPECT_EQ(m.completed, total);
@@ -153,103 +149,23 @@ TEST_F(ServiceStressTest, EightThreadsMatchSingleThreadedOracle) {
   EXPECT_EQ(pool_.pinned_frames(), 0u);
 }
 
-TEST_F(ServiceStressTest, GracefulShutdownDrainsEveryAdmittedQuery) {
-  ServiceOptions options;
-  options.num_threads = 4;
-  options.queue_capacity = 1024;
-  QueryService service(tree_.get(), nullptr, options);
-
-  std::vector<std::future<StatusOr<QueryResult>>> futures;
-  for (size_t i = 0; i < 300; ++i) {
-    auto submitted = service.Submit(queries_[i]);
-    ASSERT_TRUE(submitted.ok());
-    futures.push_back(std::move(submitted).value());
-  }
+TEST_F(ServiceStressTest, RunSyncAfterShutdownIsRefused) {
+  QueryService service(tree_.get(), nullptr);
+  ASSERT_TRUE(service.RunSync(queries_[0]).ok());
   service.Shutdown();
+  service.Shutdown();  // idempotent
 
-  // After Shutdown returns, every admitted query has a ready result.
-  for (auto& f : futures) {
-    ASSERT_EQ(f.wait_for(std::chrono::seconds(0)),
-              std::future_status::ready);
-    EXPECT_TRUE(f.get().ok());
+  for (size_t i = 0; i < 3; ++i) {
+    const StatusOr<QueryResult> late = service.RunSync(queries_[i]);
+    ASSERT_FALSE(late.ok());
+    EXPECT_TRUE(late.status().IsInvalidArgument())
+        << late.status().ToString();
   }
   const ServiceMetricsSnapshot m = service.Metrics();
-  EXPECT_EQ(m.completed + m.failed, 300u);
-
-  // New submissions are refused once shut down.
-  auto late = service.Submit(queries_[0]);
-  EXPECT_FALSE(late.ok());
-  EXPECT_TRUE(late.status().IsInvalidArgument());
-}
-
-TEST_F(ServiceStressTest, AdmissionControlRejectsWhenQueueIsFull) {
-  // One worker stalled on simulated disk latency; a 2-deep queue must
-  // reject most of a 30-query burst instead of growing unboundedly.
-  ASSERT_TRUE(pool_.FlushAll().ok());  // make the tree visible to disk_
-  storage::LatencyDiskManager slow_disk(&disk_,
-                                        std::chrono::microseconds(20000),
-                                        std::chrono::microseconds(0));
-  storage::BufferPool slow_pool(&slow_disk, 8, /*shards=*/1);
-  auto tree = RTree::Open(&slow_pool, tree_->meta_page());
-  ASSERT_TRUE(tree.ok());
-
-  ServiceOptions options;
-  options.num_threads = 1;
-  options.queue_capacity = 2;
-  QueryService service(&tree.value(), nullptr, options);
-
-  size_t rejected = 0;
-  std::vector<std::future<StatusOr<QueryResult>>> futures;
-  for (size_t i = 0; i < 30; ++i) {
-    auto submitted = service.Submit(queries_[0]);
-    if (submitted.ok()) {
-      futures.push_back(std::move(submitted).value());
-    } else {
-      EXPECT_TRUE(submitted.status().IsResourceExhausted());
-      ++rejected;
-    }
-  }
-  EXPECT_GT(rejected, 0u);
-  for (auto& f : futures) {
-    EXPECT_TRUE(f.get().ok());
-  }
-  const ServiceMetricsSnapshot m = service.Metrics();
-  EXPECT_EQ(m.submitted + m.rejected, 30u);
-  EXPECT_EQ(m.rejected, rejected);
-  EXPECT_EQ(m.completed, m.submitted);
-}
-
-TEST(ThreadPoolTest, BoundedQueueAndGracefulDrain) {
-  ThreadPool pool(2, 2);
-  std::latch started(2);
-  std::latch release(1);
-  std::atomic<int> done{0};
-
-  // Two blockers occupy both workers...
-  for (int i = 0; i < 2; ++i) {
-    ASSERT_TRUE(pool.TrySubmit([&] {
-                      started.count_down();
-                      release.wait();
-                      done.fetch_add(1);
-                    })
-                    .ok());
-  }
-  started.wait();  // both workers now busy, queue empty
-  // ...two more fill the queue; the next is deterministically rejected.
-  for (int i = 0; i < 2; ++i) {
-    ASSERT_TRUE(pool.TrySubmit([&] { done.fetch_add(1); }).ok());
-  }
-  const Status overflow = pool.TrySubmit([&] { done.fetch_add(1); });
-  ASSERT_FALSE(overflow.ok());
-  EXPECT_TRUE(overflow.IsResourceExhausted());
-
-  release.count_down();
-  pool.Shutdown();  // must drain every admitted task
-  EXPECT_EQ(done.load(), 4);
-  EXPECT_EQ(pool.queue_depth(), 0u);
-
-  // Submissions after shutdown are refused.
-  EXPECT_FALSE(pool.TrySubmit([] {}).ok());
+  EXPECT_EQ(m.submitted, 1u);
+  EXPECT_EQ(m.completed, 1u);
+  EXPECT_EQ(m.rejected, 3u);
+  EXPECT_EQ(m.failed, 0u);
 }
 
 TEST(ServicePsqlTest, ConcurrentSelectsOverSharedCatalog) {
@@ -267,27 +183,21 @@ TEST(ServicePsqlTest, ConcurrentSelectsOverSharedCatalog) {
   const size_t expected_rows = oracle.value().rows.size();
   ASSERT_GT(expected_rows, 0u);
 
-  ServiceOptions options;
-  options.num_threads = 4;
-  options.queue_capacity = 1024;
-  QueryService service(nullptr, &executor, options);
+  QueryService service(nullptr, &executor);
 
-  std::vector<std::future<StatusOr<QueryResult>>> futures;
-  for (size_t i = 0; i < 400; ++i) {
-    auto submitted = service.Submit(PsqlQuery{
+  std::vector<StatusOr<QueryResult>> outcomes(400,
+                                              Status::Internal("not run"));
+  ParallelFor(4, outcomes.size(), [&](size_t i) {
+    outcomes[i] = service.RunSync(PsqlQuery{
         "select city, population, loc from cities on us-map "
         "at loc covered-by {-74 +- 4, 41 +- 3}"});
-    ASSERT_TRUE(submitted.ok());
-    futures.push_back(std::move(submitted).value());
-  }
-  for (auto& f : futures) {
-    StatusOr<QueryResult> outcome = f.get();
+  });
+  for (const StatusOr<QueryResult>& outcome : outcomes) {
     ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
     ASSERT_TRUE(outcome.value().table.has_value());
     EXPECT_EQ(outcome.value().table->rows.size(), expected_rows);
     EXPECT_TRUE(outcome.value().table->stats.used_spatial_index);
   }
-  service.Shutdown();
   EXPECT_EQ(service.Metrics().completed, 400u);
   EXPECT_EQ(pool.pinned_frames(), 0u);
 }
@@ -324,18 +234,13 @@ TEST(ServiceJoinTest, JoinQueryCountsIntersectingPairs) {
       },
       &oracle));
 
-  ServiceOptions options;
-  options.num_threads = 4;
-  options.queue_capacity = 64;
-  QueryService service(left.get(), nullptr, options);
-  std::vector<std::future<StatusOr<QueryResult>>> futures;
-  for (int i = 0; i < 16; ++i) {
-    auto submitted = service.Submit(JoinQuery{right.get()});
-    ASSERT_TRUE(submitted.ok());
-    futures.push_back(std::move(submitted).value());
-  }
-  for (auto& f : futures) {
-    StatusOr<QueryResult> outcome = f.get();
+  QueryService service(left.get(), nullptr);
+  std::vector<StatusOr<QueryResult>> outcomes(16,
+                                              Status::Internal("not run"));
+  ParallelFor(4, outcomes.size(), [&](size_t i) {
+    outcomes[i] = service.RunSync(JoinQuery{right.get()});
+  });
+  for (const StatusOr<QueryResult>& outcome : outcomes) {
     ASSERT_TRUE(outcome.ok());
     EXPECT_EQ(outcome.value().join_pairs, oracle_pairs);
   }
@@ -426,7 +331,6 @@ TEST(ServiceWriteTest, ConcurrentCallerThreadWritesAllCommit) {
   for (std::thread& w : writers) w.join();
   EXPECT_EQ(ok_count.load(), kWrites);
   EXPECT_EQ(durable->tree().Size(), kWrites);
-  svc.Shutdown();
 }
 
 // Batched traversals share one DFS across all windows of a request;
@@ -442,10 +346,7 @@ TEST(ServiceWriteTest, BatchedQueriesStayConsistentUnderConcurrentWriter) {
   ASSERT_TRUE(created.ok());
   auto durable = std::move(created).value();
 
-  ServiceOptions options;
-  options.num_threads = 4;
-  options.queue_capacity = 4096;
-  QueryService svc(&durable->tree(), /*executor=*/nullptr, options);
+  QueryService svc(&durable->tree(), /*executor=*/nullptr);
   svc.BindWriter(durable.get());
 
   constexpr size_t kSeedInserts = 256;
@@ -475,27 +376,28 @@ TEST(ServiceWriteTest, BatchedQueriesStayConsistentUnderConcurrentWriter) {
         qrng.UniformDouble(0, 100), qrng.UniformDouble(20, 120)));
   }
 
-  std::vector<std::future<StatusOr<QueryResult>>> futures;
-  futures.reserve(kBatches);
-  for (size_t b = 0; b < kBatches; ++b) {
-    auto submitted =
-        svc.Submit(BatchWindowQuery{windows, /*contained_only=*/false});
-    ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
-    futures.push_back(std::move(submitted).value());
-    // Interleave commits with admissions so traversals race mutations.
-    if (b < kRacingInserts) {
-      const size_t i = kSeedInserts + b;
-      ASSERT_TRUE(svc.ExecuteWrite(
-                         InsertOp{rect_for(i),
-                                  storage::Rid{
-                                      static_cast<storage::PageId>(i + 1), 0}})
-                      .ok());
-    }
+  // Four caller threads run the batches while this thread commits, so
+  // traversals race mutations.
+  std::vector<StatusOr<QueryResult>> outcomes(kBatches,
+                                              Status::Internal("not run"));
+  std::thread readers([&] {
+    ParallelFor(4, kBatches, [&](size_t b) {
+      outcomes[b] =
+          svc.RunSync(BatchWindowQuery{windows, /*contained_only=*/false});
+    });
+  });
+  for (size_t b = 0; b < std::min(kBatches, kRacingInserts); ++b) {
+    const size_t i = kSeedInserts + b;
+    EXPECT_TRUE(svc.ExecuteWrite(
+                       InsertOp{rect_for(i),
+                                storage::Rid{
+                                    static_cast<storage::PageId>(i + 1), 0}})
+                    .ok());
   }
+  readers.join();
   const size_t total_inserts = kSeedInserts + std::min(kBatches, kRacingInserts);
 
-  for (auto& f : futures) {
-    StatusOr<QueryResult> outcome = f.get();
+  for (const StatusOr<QueryResult>& outcome : outcomes) {
     ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
     const QueryResult& r = outcome.value();
     ASSERT_EQ(r.batch.size(), windows.size());
@@ -513,9 +415,8 @@ TEST(ServiceWriteTest, BatchedQueriesStayConsistentUnderConcurrentWriter) {
 
   // Quiesced: the batch answer must now be exactly the single-window
   // answers, hit for hit.
-  auto settled = svc.Submit(BatchWindowQuery{windows, false});
-  ASSERT_TRUE(settled.ok());
-  StatusOr<QueryResult> outcome = std::move(settled).value().get();
+  const StatusOr<QueryResult> outcome =
+      svc.RunSync(BatchWindowQuery{windows, false});
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   ASSERT_EQ(outcome->batch.size(), windows.size());
   for (size_t w = 0; w < windows.size(); ++w) {
@@ -529,7 +430,6 @@ TEST(ServiceWriteTest, BatchedQueriesStayConsistentUnderConcurrentWriter) {
     }
     EXPECT_GT(hits.size(), 0u) << "vacuous window " << w;
   }
-  svc.Shutdown();
   EXPECT_EQ(pool.pinned_frames(), 0u);
 }
 

@@ -373,10 +373,7 @@ TEST(WalCrashTest, ConcurrentReadersVsWriter) {
   }
   ASSERT_TRUE(env.durable->BulkLoad(seed).ok());
 
-  service::ServiceOptions sopts;
-  sopts.num_threads = 4;
-  sopts.queue_capacity = 1024;
-  service::QueryService svc(&env.durable->tree(), nullptr, sopts);
+  service::QueryService svc(&env.durable->tree(), nullptr);
   svc.BindWriter(env.durable.get());
 
   std::atomic<bool> stop{false};
@@ -396,9 +393,7 @@ TEST(WalCrashTest, ConcurrentReadersVsWriter) {
             return service::KnnQuery{Point(x, y), 4};
         }
       };
-      auto submitted = svc.Submit(make_query());
-      if (!submitted.ok()) continue;  // queue full: shed and retry
-      auto result = submitted->get();
+      auto result = svc.RunSync(make_query());
       EXPECT_TRUE(result.ok()) << result.status().ToString();
       completed.fetch_add(1, std::memory_order_relaxed);
     }
@@ -437,7 +432,6 @@ TEST(WalCrashTest, ConcurrentReadersVsWriter) {
   }
   stop.store(true, std::memory_order_relaxed);
   reader.join();
-  svc.Shutdown();
   EXPECT_GT(completed.load(), before_writes);
   const service::WriteMetricsSnapshot wm = svc.write_metrics();
   EXPECT_EQ(wm.committed(), 400u);
