@@ -13,9 +13,8 @@ namespace pictdb::net {
 
 /// Blocking binary-protocol client: one connection, one outstanding
 /// request at a time (Call writes a frame and reads exactly one response
-/// frame). Shared by the tests and the load generator so both speak the
-/// wire format through a single implementation. Move-only; not
-/// thread-safe — use one Client per thread.
+/// frame). The tests and the repository benchmark speak the wire format
+/// through it. Move-only; not thread-safe — use one Client per thread.
 class Client {
  public:
   static StatusOr<Client> ConnectUnix(const std::string& path);

@@ -77,7 +77,7 @@ struct HistogramSnapshot {
     return max;
   }
 
-  /// Pointwise sum: combine per-thread or per-replica histograms.
+  /// Pointwise sum: combine per-thread or per-variant histograms.
   void Merge(const HistogramSnapshot& other) {
     for (size_t i = 0; i < kBuckets; ++i) counts[i] += other.counts[i];
     sum += other.sum;
@@ -89,9 +89,7 @@ struct HistogramSnapshot {
 };
 
 /// Thread-safe latency histogram: lock-free atomic buckets, recorded in
-/// microseconds by convention. Snapshot() yields the plain struct above;
-/// the server and the load generator both report through this type so
-/// their percentile math is identical by construction.
+/// microseconds by convention. Snapshot() yields the plain struct above.
 class LatencyHistogram {
  public:
   void Record(uint64_t value) {

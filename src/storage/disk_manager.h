@@ -75,9 +75,10 @@ class DiskManager {
   virtual void DeallocatePage(PageId id) = 0;
 
   /// Durability barrier: after Sync() returns OK, every completed
-  /// WritePage is visible to other readers of the same backing store
-  /// (e.g. replica processes sharing one page file). No-op for stores
-  /// without writer-side buffering.
+  /// WritePage survives a crash. The WAL syncs before it acknowledges a
+  /// commit or switches its anchor, DurableRTree syncs the tree pages
+  /// before it logs a clean shutdown, and an external-sort spill run
+  /// ends with a sync. No-op for stores without writer-side buffering.
   [[nodiscard]] virtual Status Sync() { return Status::OK(); }
 
   const DiskStats& stats() const { return stats_; }
@@ -139,10 +140,9 @@ class FileDiskManager final : public DiskManager {
   Status WritePage(PageId id, const char* data) override EXCLUDES(mu_);
   PageId AllocatePage() override EXCLUDES(mu_);
   void DeallocatePage(PageId id) override EXCLUDES(mu_);
-  /// Flushes stdio buffers so concurrently opened handles on the same
-  /// path observe every written page. Without this a freshly packed
-  /// tree's tail pages can still sit in this process's FILE buffer
-  /// while a replica reads the (zero-filled) allocation image.
+  /// Flushes stdio buffers and fsyncs, so a page a WAL commit or a
+  /// DurableRTree checkpoint counts on is on the medium, not still in
+  /// this process's FILE buffer.
   Status Sync() override EXCLUDES(mu_);
 
  private:
