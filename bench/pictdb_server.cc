@@ -155,7 +155,8 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
   return true;
 }
 
-/// Packs the serving dataset (Hilbert sort-chunk) into two trees.
+/// Packs the serving dataset (Hilbert sort-chunk) into two trees and
+/// writes them through to the page file.
 Status BuildTrees(storage::BufferPool* pool, const Flags& flags,
                   std::optional<rtree::RTree>* tree,
                   std::optional<rtree::RTree>* overlay) {
@@ -169,7 +170,10 @@ Status BuildTrees(storage::BufferPool* pool, const Flags& flags,
   PICTDB_ASSIGN_OR_RETURN(rtree::RTree o, rtree::RTree::Create(pool));
   PICTDB_RETURN_IF_ERROR(pack::Pack(&o, std::move(data.overlay), hilbert));
   overlay->emplace(std::move(o));
-  return Status::OK();
+  // Packed pages live in the pool until flushed; a pool that holds the
+  // whole tree would otherwise leave the page file empty while serving.
+  PICTDB_RETURN_IF_ERROR(pool->FlushAll());
+  return pool->disk()->Sync();
 }
 
 int Run(int argc, char** argv) {

@@ -1,5 +1,5 @@
-#ifndef PICTDB_NET_WIRE_H_
-#define PICTDB_NET_WIRE_H_
+#ifndef PICTDB_COMMON_BYTES_H_
+#define PICTDB_COMMON_BYTES_H_
 
 #include <bit>
 #include <cstdint>
@@ -10,13 +10,14 @@
 
 #include "common/status_or.h"
 
-namespace pictdb::net {
+namespace pictdb {
 
-/// Append-only little-endian serializer for wire payloads. Everything on
-/// the wire is explicitly little-endian regardless of host order, so a
-/// frame encoded on one machine decodes bit-identically on any other —
-/// a requirement for the golden test vectors and the result cache's
-/// byte-identical replay.
+/// Append-only little-endian serializer for binary formats: wire
+/// payloads (net/protocol.cc) and the saved catalog image
+/// (rel/catalog_io.cc). Everything is explicitly little-endian regardless
+/// of host order, so bytes written on one machine decode bit-identically
+/// on any other — a requirement for the golden test vectors and the
+/// result cache's byte-identical replay.
 class ByteWriter {
  public:
   void PutU8(uint8_t v) { buf_.push_back(static_cast<char>(v)); }
@@ -37,7 +38,7 @@ class ByteWriter {
   }
 
   /// IEEE-754 bit pattern, little-endian. Exact round-trip (NaN
-  /// payloads included), so coordinates survive the wire losslessly.
+  /// payloads included), so coordinates survive losslessly.
   void PutDouble(double v) { PutU64(std::bit_cast<uint64_t>(v)); }
 
   /// u32 length prefix + raw bytes.
@@ -46,9 +47,6 @@ class ByteWriter {
     buf_.append(s.data(), s.size());
   }
 
-  void PutBytes(std::string_view s) { buf_.append(s.data(), s.size()); }
-
-  size_t size() const { return buf_.size(); }
   const std::string& str() const { return buf_; }
   std::string Take() { return std::move(buf_); }
 
@@ -56,9 +54,9 @@ class ByteWriter {
   std::string buf_;
 };
 
-/// Bounds-checked little-endian deserializer. Every accessor returns a
-/// Status error instead of reading past the end, so decoding a
-/// truncated or malicious frame is always a clean failure.
+/// Bounds-checked little-endian deserializer. Every accessor returns an
+/// InvalidArgument error instead of reading past the end, so decoding
+/// truncated or malicious bytes is always a clean failure.
 class ByteReader {
  public:
   explicit ByteReader(std::string_view data) : data_(data) {}
@@ -111,7 +109,7 @@ class ByteReader {
   StatusOr<std::string> String(size_t max_len) {
     PICTDB_ASSIGN_OR_RETURN(const uint32_t len, U32());
     if (len > max_len) {
-      return Status::InvalidArgument("wire string length exceeds limit");
+      return Status::InvalidArgument("string length exceeds limit");
     }
     if (pos_ + len > data_.size()) return Truncated("string body");
     std::string out(data_.substr(pos_, len));
@@ -122,17 +120,17 @@ class ByteReader {
   size_t remaining() const { return data_.size() - pos_; }
   bool AtEnd() const { return pos_ == data_.size(); }
 
-  /// Decoders call this last: payload bytes beyond the message are a
-  /// protocol violation, not padding.
+  /// Decoders call this last: bytes beyond the message are a format
+  /// violation, not padding.
   Status ExpectEnd() const {
     return AtEnd() ? Status::OK()
                    : Status::InvalidArgument(
-                         "trailing bytes after wire message");
+                         "trailing bytes after message");
   }
 
  private:
   static Status Truncated(const char* what) {
-    return Status::InvalidArgument(std::string("wire payload truncated: ") +
+    return Status::InvalidArgument(std::string("bytes truncated: ") +
                                    what);
   }
   static uint32_t ByteSwap32(uint32_t v) {
@@ -144,6 +142,6 @@ class ByteReader {
   size_t pos_ = 0;
 };
 
-}  // namespace pictdb::net
+}  // namespace pictdb
 
-#endif  // PICTDB_NET_WIRE_H_
+#endif  // PICTDB_COMMON_BYTES_H_

@@ -25,7 +25,8 @@ namespace pictdb::net {
 ///   4       4     flags (kFlagCached | kFlagDegraded)
 ///   8       4     request id (echoed verbatim in the response)
 ///   12      4     payload length in bytes (<= kMaxPayloadBytes)
-///   16      -     payload (type-specific, see protocol.cc codecs)
+///   16      -     payload (type-specific: one field list per message
+///                 type in protocol.cc)
 ///
 /// The fixed header means a reader always knows how many bytes to wait
 /// for; the magic and version are checked before the length is trusted,
@@ -282,9 +283,10 @@ struct ErrorResponse {
   static ErrorResponse FromStatus(const Status& status);
 };
 
-/// Server-side counters for the load generator's SLO report: service
-/// metrics (with per-variant latency histograms), result-cache
-/// hit/miss/eviction counters, and the serving tier's own counters.
+/// Server-side counters, the answer to a kStats request
+/// (Client::ServerStats): service metrics (with per-variant latency
+/// histograms), result-cache hit/miss/eviction counters, and the serving
+/// tier's own counters.
 struct StatsResponse {
   uint64_t submitted = 0;
   uint64_t rejected = 0;

@@ -12,6 +12,7 @@
 #include "storage/blob.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
+#include "storage/page.h"
 #include "workload/us_catalog.h"
 
 #include "tree_check.h"
@@ -191,6 +192,25 @@ TEST(CatalogIoTest, SurvivesProcessRestartOnDisk) {
     EXPECT_EQ(again->rows.size(), expected_rows + 1);
   }
   std::remove(path.c_str());
+}
+
+TEST(CatalogIoTest, SavedImageBytesArePinned) {
+  // The saved image of the US catalog plus one named location, pinned by
+  // size and CRC-32: catalog version 1's layout must not change.
+  InMemoryDiskManager disk(1024);
+  BufferPool pool(&disk, 1 << 14);
+  Catalog catalog(&pool);
+  PICTDB_CHECK_OK(workload::BuildUsCatalog(&catalog, 4));
+  ASSERT_TRUE(catalog
+                  .DefineLocation("eastern-us",
+                                  geom::Geometry(geom::Rect(-82, 35, -66, 45)))
+                  .ok());
+  auto root = SaveCatalog(catalog, &pool);
+  ASSERT_TRUE(root.ok());
+  auto image = storage::ReadBlob(&pool, *root);
+  ASSERT_TRUE(image.ok());
+  EXPECT_EQ(image->size(), 764u);
+  EXPECT_EQ(storage::Crc32(image->data(), image->size()), 0x319e9a3du);
 }
 
 TEST(CatalogIoTest, LoadRejectsGarbage) {

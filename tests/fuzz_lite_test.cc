@@ -28,6 +28,8 @@
 #include "workload/generators.h"
 #include "workload/us_catalog.h"
 
+#include "wire_samples.h"
+
 namespace pictdb {
 namespace {
 
@@ -237,26 +239,129 @@ net::Request RandomValidRequest(Random* rng) {
   return request;
 }
 
+/// Every byte value that names a request (or, `requests` false, a
+/// response) message type.
+std::vector<net::MsgType> MsgTypes(bool requests) {
+  std::vector<net::MsgType> out;
+  for (int b = 0; b < 256; ++b) {
+    const auto type = static_cast<net::MsgType>(b);
+    if (net::IsKnownMsgType(static_cast<uint8_t>(b)) &&
+        net::IsRequestType(type) == requests) {
+      out.push_back(type);
+    }
+  }
+  return out;
+}
+
+net::MsgType MsgTypeOf(const net::Request& m) { return RequestMsgType(m); }
+net::MsgType MsgTypeOf(const net::Response& m) { return ResponseMsgType(m); }
+std::string Encode(const net::Request& m) { return EncodeRequestPayload(m); }
+std::string Encode(const net::Response& m) { return EncodeResponsePayload(m); }
+
+/// Decodes `bytes` as a `type` payload. A decoder may refuse anything,
+/// but what it accepts must be canonical: the decoded message has that
+/// type and re-encodes to exactly `bytes`. Counts accepted payloads.
+template <class Message>
+::testing::AssertionResult DecodesCanonically(
+    StatusOr<Message> (*decode)(net::MsgType, std::string_view),
+    net::MsgType type, const std::string& bytes, size_t* accepted) {
+  StatusOr<Message> decoded = decode(type, bytes);
+  if (!decoded.ok()) return ::testing::AssertionSuccess();
+  ++*accepted;
+  if (MsgTypeOf(*decoded) != type) {
+    return ::testing::AssertionFailure()
+           << "type " << static_cast<int>(type) << " decoded as "
+           << static_cast<int>(MsgTypeOf(*decoded));
+  }
+  if (Encode(*decoded) != bytes) {
+    return ::testing::AssertionFailure()
+           << "type " << static_cast<int>(type)
+           << " payload re-encodes to different bytes";
+  }
+  return ::testing::AssertionSuccess();
+}
+
 TEST(FuzzLiteTest, RequestDecoderNeverCrashesOnRandomBytes) {
   Random rng(41);
-  constexpr uint8_t kRequestTypes[] = {1, 2, 3, 4, 5, 6, 7, 8, 9};
+  const std::vector<net::MsgType> types = MsgTypes(/*requests=*/true);
+  ASSERT_EQ(types.size(), 13u);
+  size_t accepted = 0;
   for (int i = 0; i < 4000; ++i) {
     const std::string bytes = RandomBytes(&rng, 96);
-    const auto type = static_cast<net::MsgType>(
-        kRequestTypes[rng.Uniform(sizeof(kRequestTypes))]);
-    (void)net::DecodeRequestPayload(type, bytes);  // ok or clean error
+    const net::MsgType type = types[rng.Uniform(types.size())];
+    EXPECT_TRUE(DecodesCanonically(&net::DecodeRequestPayload, type, bytes,
+                                   &accepted));
   }
 }
 
 TEST(FuzzLiteTest, ResponseDecoderNeverCrashesOnRandomBytes) {
   Random rng(42);
-  constexpr uint8_t kResponseTypes[] = {32, 33, 34, 35, 36, 37, 38, 39};
+  const std::vector<net::MsgType> types = MsgTypes(/*requests=*/false);
+  ASSERT_EQ(types.size(), 9u);
+  size_t accepted = 0;
   for (int i = 0; i < 4000; ++i) {
     const std::string bytes = RandomBytes(&rng, 128);
-    const auto type = static_cast<net::MsgType>(
-        kResponseTypes[rng.Uniform(sizeof(kResponseTypes))]);
-    (void)net::DecodeResponsePayload(type, bytes);
+    const net::MsgType type = types[rng.Uniform(types.size())];
+    EXPECT_TRUE(DecodesCanonically(&net::DecodeResponsePayload, type, bytes,
+                                   &accepted));
   }
+}
+
+/// `bytes` with one seeded damage: a byte overwritten (often with a
+/// boundary value such as 2 in a 0/1 flag), a cut, or an extra byte.
+std::string Mutate(Random* rng, std::string bytes) {
+  const size_t at = bytes.empty() ? 0 : rng->Uniform(bytes.size());
+  constexpr uint8_t kValues[] = {0, 1, 2, 0x7f, 0x80, 0xff};
+  switch (rng->Uniform(4)) {
+    case 0:
+      if (!bytes.empty()) bytes[at] = static_cast<char>(rng->Uniform(256));
+      break;
+    case 1:
+      if (!bytes.empty()) {
+        const uint8_t value = kValues[rng->Uniform(std::size(kValues))];
+        bytes[at] = static_cast<char>(value);
+      }
+      break;
+    case 2:
+      bytes.resize(at);
+      break;
+    default:
+      bytes.insert(at, 1, static_cast<char>(rng->Uniform(256)));
+      break;
+  }
+  return bytes;
+}
+
+/// Random bytes rarely decode. Damaged copies of real payloads
+/// (tests/wire_samples.h, one per message type) often do, so this is
+/// where the canonical-form property bites: a decoder that accepted a
+/// flag byte of 2, say, would re-encode it as 1.
+TEST(FuzzLiteTest, MutatedGoldenPayloadsDecodeOnlyCanonically) {
+  Random rng(43);
+  size_t accepted = 0;
+  for (const net::Request& sample : testing_support::SampleRequests()) {
+    const std::string golden = Encode(sample);
+    ASSERT_TRUE(DecodesCanonically(&net::DecodeRequestPayload,
+                                   MsgTypeOf(sample), golden, &accepted));
+    for (int i = 0; i < 300; ++i) {
+      EXPECT_TRUE(DecodesCanonically(&net::DecodeRequestPayload,
+                                     MsgTypeOf(sample), Mutate(&rng, golden),
+                                     &accepted));
+    }
+  }
+  for (const net::Response& sample : testing_support::SampleResponses()) {
+    const std::string golden = Encode(sample);
+    ASSERT_TRUE(DecodesCanonically(&net::DecodeResponsePayload,
+                                   MsgTypeOf(sample), golden, &accepted));
+    for (int i = 0; i < 300; ++i) {
+      EXPECT_TRUE(DecodesCanonically(&net::DecodeResponsePayload,
+                                     MsgTypeOf(sample), Mutate(&rng, golden),
+                                     &accepted));
+    }
+  }
+  // Most single-byte overwrites land in a counter or a coordinate and
+  // still decode.
+  EXPECT_GT(accepted, 22u * 300 / 4);
 }
 
 /// Seeded frame fuzzer against a LIVE server: random bytes, random-header

@@ -1,5 +1,5 @@
-// Wire protocol: primitive codec, request/response round-trips for all
-// five query variants, golden byte vectors (the wire format is a
+// Wire protocol: primitive codec, request/response round-trips, golden
+// byte vectors for every message type (the wire format is a
 // compatibility contract — these bytes must never change within a
 // protocol version), header validation, and malformed-payload rejection.
 
@@ -8,8 +8,10 @@
 #include <string>
 #include <vector>
 
+#include "common/bytes.h"
 #include "net/protocol.h"
-#include "net/wire.h"
+
+#include "wire_samples.h"
 
 namespace pictdb::net {
 namespace {
@@ -155,6 +157,171 @@ TEST(ProtocolTest, GoldenWindowRequestBytes) {
             "0000000000000840"          // 3.0
             "0000000000001040"          // 4.0
             "00");                      // contained
+}
+
+/// `n` zero bytes, as hex.
+std::string Zeros(size_t n) { return std::string(2 * n, '0'); }
+
+/// A latency histogram with nothing recorded.
+std::string EmptyHistogram() { return Zeros(16) + "00010000" + Zeros(256 * 8); }
+
+TEST(ProtocolTest, GoldenBytesForEveryMessageType) {
+  // The payload of one populated instance of each message type
+  // (tests/wire_samples.h), in MsgType order. Query requests open with
+  // the options (timeout_us u64, degraded_ok u8); responses to queries
+  // open with the stats block (five u64 counters, degraded u8). Doubles
+  // are IEEE-754 bits, everything little-endian.
+  const std::string kRequestHex[] = {
+      // kWindow
+      "e80300000000000001"                    // options
+      "000000000000f03f0000000000000040"      // rect
+      "00000000000008400000000000001040"
+      "01",                                   // contained_only
+      // kPoint
+      "050000000000000000"                    // options
+      "0000000000000a400000000000001fc0",     // point
+      // kKnn
+      "000000000000000001"                    // options
+      "000000000000e03f000000000000d03f"      // point
+      "11000000",                             // k
+      // kJoin
+      "90d003000000000000"                    // options
+      "03000000",                             // overlay
+      // kPsql
+      "000000000000000000"                    // options
+      "17000000"                              // text length
+      "73656c65637420636974792066726f6d"      // text
+      "20636974696573",
+      // kPing, kStats (empty payloads)
+      "",
+      "",
+      // kSetFaults
+      "000000000000d03f000000000000e03f",     // rates
+      // kInvalidate
+      "",
+      // kInsert
+      "000000000000f03f0000000000000040"      // rect
+      "00000000000008400000000000001040"
+      "40e201000700",                         // rid
+      // kDelete
+      "000000000000f0bf00000000000000c0"      // rect
+      "00000000000000000000000000000000"
+      "090000000100",                         // rid
+      // kUpdate
+      "000000000000f03f0000000000000040"      // old mbr
+      "00000000000008400000000000001040"
+      "090000000100"                          // old rid
+      "00000000000014400000000000001840"      // new mbr
+      "0000000000001c400000000000002040"
+      "0a0000000200",                         // new rid
+      // kBatchWindow
+      "070000000000000001"                    // options
+      "01"                                    // contained_only
+      "02000000"                              // 2 windows
+      "00000000000000000000000000000000"      // window
+      "000000000000f03f000000000000f03f"
+      "00000000000000400000000000000040"      // window
+      "00000000000008400000000000000840",
+  };
+  const std::string kResponseHex[] = {
+      // kHits
+      "7b000000000000002d00000000000000"      // stats
+      "c8000000000000000700000000000000"
+      "010000000000000001"
+      "02000000"                              // 2 hits
+      "000000000000f03f0000000000000040"      // hit mbr
+      "00000000000008400000000000001040"
+      "090000000200"                          // hit rid
+      "000000000000f0bf00000000000000c0"      // hit mbr
+      "00000000000000000000000000000000"
+      "4d0000000000",                         // hit rid
+      // kNeighbors
+      "7b000000000000002d00000000000000"      // stats
+      "c8000000000000000700000000000000"
+      "010000000000000001"
+      "01000000"                              // 1 neighbor
+      "000000000000f03f0000000000000040"      // hit mbr
+      "00000000000008400000000000001040"
+      "090000000200"                          // hit rid
+      "0000000000000440",                     // distance
+      // kJoinResult
+      "7b000000000000002d00000000000000"      // stats
+      "c8000000000000000700000000000000"
+      "010000000000000001"
+      "b168de3a00000000",                     // pairs
+      // kTable
+      "00000000000000000000000000000000"      // stats
+      "00000000000000000300000000000000"
+      "000000000000000000"
+      "02000000"                              // 2 columns
+      "0400000063697479"                      // "city"
+      "03000000706f70"                        // "pop"
+      "03000000"                              // 3 rows
+      "0a00000057617368696e67746f6e"          // row 0 cells
+      "06000000363338303030"
+      "02000000"                              // row 0: 2 rids
+      "040000000000040000000100"
+      "0900000042616c74696d6f7265"            // row 1 cells
+      "06000000363231303030"
+      "00000000"                              // row 1: 0 rids
+      "0100000058"                            // row 2 cells
+      "00000000"
+      "00000000",                             // row 2: 0 rids (past row_rids)
+      // kPong
+      "",
+      // kStatsResult: six service counters; the variant count and each
+      // variant's latency histogram (sum u64, max u64, bucket count u32 =
+      // 256, then 256 u64 buckets); the cache and serving counters.
+      std::string("6400000000000000" "0100000000000000" "6200000000000000"
+                  "0200000000000000" "0300000000000000" "0400000000000000"
+                  "06000000") +
+      // Variant 0: sum 999, bucket 10 holds 5.
+      "e703000000000000" + Zeros(8) + "00010000" + Zeros(10 * 8) +
+      "0500000000000000" + Zeros(245 * 8) +
+      // Variants 1-3: empty.
+      EmptyHistogram() + EmptyHistogram() + EmptyHistogram() +
+      // Variant 4: max 777.
+      Zeros(8) + "0903000000000000" + "00010000" + Zeros(256 * 8) +
+      // Variant 5: bucket 255 holds 6.
+      Zeros(16) + "00010000" + Zeros(255 * 8) + "0600000000000000" +
+      "2800000000000000" "2900000000000000" "2a00000000000000"
+      "2b00000000000000" "2c00000000000000" "2d00000000000000"
+      "2e00000000000000" "2f00000000000000" "3000000000000000"
+      "3100000000000000" "3200000000000000" "3300000000000000"
+      "3400000000000000",
+      // kOk
+      "",
+      // kError
+      "08000000"                              // code
+      "0e000000"                              // message length
+      "71756f7461206578636565646564",         // message
+      // kBatchHits
+      "7b000000000000002d00000000000000"      // stats
+      "c8000000000000000700000000000000"
+      "010000000000000001"
+      "02000000"                              // 2 windows
+      "01"                                    // degraded
+      "01000000"                              // 1 hit
+      "000000000000f03f0000000000000040"      // hit mbr
+      "00000000000008400000000000001040"
+      "090000000200"                          // hit rid
+      "00"                                    // degraded
+      "00000000",                             // 0 hits
+  };
+  const std::vector<Request> requests = testing_support::SampleRequests();
+  ASSERT_EQ(requests.size(), std::size(kRequestHex));
+  for (size_t i = 0; i < requests.size(); ++i) {
+    EXPECT_EQ(RequestMsgType(requests[i]), static_cast<MsgType>(1 + i));
+    EXPECT_EQ(Hex(EncodeRequestPayload(requests[i])), kRequestHex[i])
+        << "request type " << 1 + i;
+  }
+  const std::vector<Response> responses = testing_support::SampleResponses();
+  ASSERT_EQ(responses.size(), std::size(kResponseHex));
+  for (size_t i = 0; i < responses.size(); ++i) {
+    EXPECT_EQ(ResponseMsgType(responses[i]), static_cast<MsgType>(32 + i));
+    EXPECT_EQ(Hex(EncodeResponsePayload(responses[i])), kResponseHex[i])
+        << "response type " << 32 + i;
+  }
 }
 
 TEST(ProtocolTest, PointAndKnnAndJoinAndPsqlRoundTrip) {

@@ -4,7 +4,9 @@
 // window, PSQL) goes over the wire from several client threads and is
 // checked against a brute-force oracle: before, during and after an
 // admin fault episode. A SIGTERM must then drain the server to exit 0.
-// Malformed numeric flags must be refused before anything is built.
+// With the default pool the page file must still hold the tree once the
+// server is READY. Malformed numeric flags must be refused before
+// anything is built.
 
 #include <fcntl.h>
 #include <gtest/gtest.h>
@@ -380,6 +382,30 @@ TEST(ServerProcessTest, AnswersEveryKindExactlyAroundAFaultEpisodeThenDrains) {
   ASSERT_NE(reads_at, std::string::npos) << log;
   EXPECT_GT(std::strtoull(log.c_str() + reads_at + 12, nullptr, 10),
             3 * requests);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ServerProcessTest, PageFileHoldsTheTreeOnceReady) {
+  // With the default pool the whole tree fits in memory, so only an
+  // explicit flush puts it in the page file before READY.
+  const std::string dir = MakeTempDir();
+  const std::string pages = dir + "/db.pages";
+  ServerProcess server({"--file=" + pages, "--unix=" + dir + "/s.sock",
+                        "--objects=2000", "--overlay=50"},
+                       dir + "/stderr");
+  ASSERT_TRUE(server.WaitReady()) << ReadFile(dir + "/stderr");
+  const std::string file = ReadFile(pages);
+  EXPECT_GT(file.size(), 0u);
+  EXPECT_NE(file.find_first_not_of('\0'), std::string::npos)
+      << "page file is all zero after READY";
+
+  const int status = server.Stop(SIGTERM);
+  EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << status;
+  const std::string log = ReadFile(dir + "/stderr");
+  const size_t writes_at = log.find("writes=", log.find("disk: reads="));
+  ASSERT_NE(writes_at, std::string::npos) << log;
+  EXPECT_GT(std::strtoull(log.c_str() + writes_at + 7, nullptr, 10), 0u)
+      << log;
   std::filesystem::remove_all(dir);
 }
 
